@@ -3,15 +3,14 @@
 Exact BC is Brandes' algorithm (O(nm), Brandes 2001): one BFS + one
 dependency-accumulation pass per source node. The approximation is the
 source-sampling estimator used by the paper's Networkit setup: run
-Brandes from ``s`` sampled sources and scale the summed dependencies by
-``n / s`` (uniform sampling; degree-proportional sampling is available,
-matching the heuristic discussed in §3.3).
+Brandes from ``s`` uniformly sampled sources and scale the summed
+dependencies by ``n / s``.
 
 Distribution: Brandes is embarrassingly parallel over sources. The CSR
-adjacency (built from the DataFrame-derived edge list) is broadcast, a
-DataFrame of source ids is fanned out with ``mapInPandas`` (each task
-runs the numpy kernel for its sources and emits its partial dependency
-vector sparsely), and partials are reduced with ``groupBy(node_id).sum``.
+adjacency is broadcast, a DataFrame of source ids is fanned out with
+``mapInPandas`` (each task runs the numpy kernel for its sources and
+emits its partial dependency vector sparsely), and the collected
+partials are summed on the driver with ``np.bincount``.
 """
 from __future__ import annotations
 
@@ -19,8 +18,7 @@ from typing import Iterable, Iterator
 
 import numpy as np
 import pandas as pd
-from pyspark.sql import DataFrame, SparkSession
-from pyspark.sql import functions as F
+from pyspark.sql import SparkSession
 
 from repro.graph.csr import CSR
 
@@ -91,18 +89,12 @@ def betweenness_exact(csr: CSR, *, normalized: bool = True) -> np.ndarray:
     return _normalize(bc, csr.n) if normalized else bc
 
 
-def sample_sources(
-    csr: CSR, n_samples: int, *, seed: int = 0, degree_weighted: bool = False
-) -> np.ndarray:
-    """Sample distinct source nodes, uniformly or ∝ degree (§3.3)."""
+def sample_sources(csr: CSR, n_samples: int, *, seed: int = 0) -> np.ndarray:
+    """Sample ``min(n_samples, n)`` distinct source nodes uniformly."""
+    if n_samples <= 0:
+        raise ValueError(f"n_samples must be positive, got {n_samples}")
     rng = np.random.default_rng(seed)
-    n_samples = min(n_samples, csr.n)
-    if not degree_weighted:
-        return rng.choice(csr.n, size=n_samples, replace=False)
-    deg = csr.degrees().astype(np.float64)
-    if deg.sum() == 0:
-        return rng.choice(csr.n, size=n_samples, replace=False)
-    return rng.choice(csr.n, size=n_samples, replace=False, p=deg / deg.sum())
+    return rng.choice(csr.n, size=min(n_samples, csr.n), replace=False)
 
 
 def betweenness_spark(
@@ -112,11 +104,10 @@ def betweenness_spark(
     sources: Iterable[int] | None = None,
     n_samples: int | None = None,
     seed: int = 0,
-    degree_weighted: bool = False,
     normalized: bool = True,
     parallelism: int | None = None,
-) -> DataFrame:
-    """Distributed (approximate or exact) BC: ``(node_id, bc)``.
+) -> np.ndarray:
+    """Distributed (approximate or exact) BC of every node, indexed by id.
 
     ``sources=None, n_samples=None`` runs every node (exact BC).
     With ``n_samples`` the estimator scales by ``n / s`` so sampled and
@@ -126,12 +117,12 @@ def betweenness_spark(
         if n_samples is None:
             sources = np.arange(csr.n, dtype=np.int64)
         else:
-            sources = sample_sources(
-                csr, n_samples, seed=seed, degree_weighted=degree_weighted
-            )
+            sources = sample_sources(csr, n_samples, seed=seed)
     sources = np.asarray(list(sources), dtype=np.int64)
     n, s = csr.n, len(sources)
-    scale = 1.0 if s in (0, n) else n / s
+    if s == 0:
+        return np.zeros(n, dtype=np.float64)
+    scale = 1.0 if s == n else n / s
     sc = spark.sparkContext
     bcast = sc.broadcast((csr.indptr, csr.indices))
     parallelism = parallelism or sc.defaultParallelism
@@ -147,15 +138,19 @@ def betweenness_spark(
 
     src_df = spark.createDataFrame(
         pd.DataFrame({"src": sources}), schema="src long"
-    ).repartition(min(parallelism, max(1, s)))
-    partials = src_df.mapInPandas(compute, schema="node_id long, partial double")
-    agg = partials.groupBy("node_id").agg(
-        (F.sum("partial") * F.lit(float(scale))).alias("bc")
-    )
-    if normalized:
-        denom = float((n - 1) * (n - 2)) if n > 2 else 1.0
-        agg = agg.withColumn("bc", F.col("bc") / F.lit(denom))
-    return agg
+    ).repartition(min(parallelism, s))
+    try:
+        partials = src_df.mapInPandas(
+            compute, schema="node_id long, partial double"
+        ).toPandas()
+    finally:
+        bcast.destroy()
+    bc = np.bincount(
+        partials["node_id"].to_numpy(np.int64),
+        weights=partials["partial"].to_numpy(np.float64),
+        minlength=n,
+    ) * scale
+    return _normalize(bc, n) if normalized else bc
 
 
 def _normalize(bc: np.ndarray, n: int) -> np.ndarray:

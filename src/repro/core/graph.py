@@ -4,14 +4,15 @@ Nodes are data values and attributes; an edge ``(v, a)`` exists iff
 normalized value ``v`` occurs in attribute ``a``. Each distinct value is
 one node no matter how many attributes it occurs in.
 
-The graph is materialized as two DataFrames:
+Spark reduces the lake to its distinct incidences in one query, and the
+graph itself lives on the driver as numpy arrays:
 
-- ``nodes``: ``(node_id long, label string, is_value boolean)`` —
-  value nodes take ids ``[0, n_values)``, attribute nodes
-  ``[n_values, n_values + n_attrs)``; ids are dense and deterministic
-  (ordered by label) so downstream numpy kernels can index arrays by id.
-- ``edges``: ``(value_id long, attr_id long)`` — one row per distinct
-  (value, attribute) incidence.
+- ``labels``: node labels indexed by node id. Value nodes take ids
+  ``[0, n_values)``, attribute nodes ``[n_values, n_values + n_attrs)``;
+  within each side ids follow label order (code-point order, which is
+  also Spark's UTF-8 byte order), so they are dense and deterministic.
+- ``value_id`` / ``attr_id``: one entry per distinct (value, attribute)
+  incidence, sorted by ``(value_id, attr_id)``.
 
 Paper §5 pre-processing: values occurring in a single attribute cannot be
 homographs; ``prune_unique=True`` (default) removes them, shrinking the
@@ -21,6 +22,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
+import numpy as np
 from pyspark.sql import DataFrame, Window
 from pyspark.sql import functions as F
 
@@ -29,31 +31,36 @@ from repro.core.normalize import ATTR_COL, VALUE_COL, normalize_cells
 
 @dataclass(frozen=True)
 class BipartiteGraph:
-    """The DomainNet graph plus its size counters.
+    """The DomainNet graph on the driver.
 
     ``n_values`` + ``n_attrs`` = total node count; ``n_edges`` counts
     undirected value–attribute edges once.
     """
 
-    nodes: DataFrame
-    edges: DataFrame
+    labels: np.ndarray
+    value_id: np.ndarray
+    attr_id: np.ndarray
     n_values: int
-    n_attrs: int
-    n_edges: int
+
+    @property
+    def n_attrs(self) -> int:
+        return len(self.labels) - self.n_values
 
     @property
     def n_nodes(self) -> int:
-        return self.n_values + self.n_attrs
+        return len(self.labels)
 
-    def value_nodes(self) -> DataFrame:
-        """``(node_id, label)`` for value nodes only."""
-        return self.nodes.where("is_value").select("node_id", "label")
+    @property
+    def n_edges(self) -> int:
+        return len(self.value_id)
 
-    def value_degrees(self) -> DataFrame:
-        """``(node_id, degree)`` — number of attributes per value node."""
-        return self.edges.groupBy(F.col("value_id").alias("node_id")).agg(
-            F.count("*").alias("degree")
-        )
+    def value_labels(self) -> np.ndarray:
+        """Labels of the value nodes, indexed by node id."""
+        return self.labels[: self.n_values]
+
+    def value_degrees(self) -> np.ndarray:
+        """Number of attributes per value node, indexed by node id."""
+        return np.bincount(self.value_id, minlength=self.n_values)
 
 
 def incidences(cells: DataFrame) -> DataFrame:
@@ -66,49 +73,31 @@ def build_graph(cells: DataFrame, *, prune_unique: bool = True) -> BipartiteGrap
 
     ``prune_unique`` drops value nodes whose degree is 1 (they cannot be
     homographs — paper §5). Attribute nodes are kept even if all their
-    values were pruned, mirroring the paper's attribute-node universe.
+    values were pruned, mirroring the paper's attribute-node universe
+    (so attribute ids are stable across prune settings of one lake).
     """
     inc = incidences(cells)
     if prune_unique:
-        multi = (
-            inc.groupBy(VALUE_COL)
-            .agg(F.count("*").alias("deg"))
-            .where("deg >= 2")
-            .select(VALUE_COL)
-        )
-        inc = inc.join(multi, on=VALUE_COL, how="inner")
-    inc = inc.cache()
+        # A pruned value becomes NULL; ``distinct`` then keeps one
+        # ``(attr, NULL)`` row per attribute that lost values, which
+        # carries the attribute into the universe without an edge.
+        deg = F.count("*").over(Window.partitionBy(VALUE_COL))
+        inc = inc.select(
+            ATTR_COL, F.when(deg >= 2, F.col(VALUE_COL)).alias(VALUE_COL)
+        ).distinct()
+    pdf = inc.toPandas()
 
-    # Dense deterministic ids: values first (ordered by label), then attrs.
-    w = Window.orderBy("label")
-    values = (
-        inc.select(F.col(VALUE_COL).alias("label"))
-        .distinct()
-        .withColumn("node_id", F.row_number().over(w) - F.lit(1))
-        .withColumn("is_value", F.lit(True))
+    attrs = pdf[ATTR_COL].to_numpy(dtype=object)
+    values = pdf[VALUE_COL].to_numpy(dtype=object)
+    is_edge = pdf[VALUE_COL].notna().to_numpy()
+    value_labels, value_id = np.unique(values[is_edge], return_inverse=True)
+    attr_labels, attr_inv = np.unique(attrs, return_inverse=True)
+    n_values = len(value_labels)
+    attr_id = attr_inv[is_edge] + n_values
+    order = np.lexsort((attr_id, value_id))
+    return BipartiteGraph(
+        labels=np.concatenate([value_labels, attr_labels]),
+        value_id=value_id[order].astype(np.int64),
+        attr_id=attr_id[order].astype(np.int64),
+        n_values=n_values,
     )
-    n_values = values.count()
-    attrs = (
-        # Attribute universe comes from the *unpruned* lake so attribute
-        # node ids are stable across prune settings of the same lake.
-        normalize_cells(cells)
-        .select(F.col(ATTR_COL).alias("label"))
-        .distinct()
-        .withColumn("node_id", F.row_number().over(w) - F.lit(1) + F.lit(n_values))
-        .withColumn("is_value", F.lit(False))
-    )
-    n_attrs = attrs.count()
-    nodes = values.unionByName(attrs).select("node_id", "label", "is_value").cache()
-
-    edges = (
-        inc.join(values.withColumnRenamed("label", VALUE_COL), on=VALUE_COL)
-        .withColumnRenamed("node_id", "value_id")
-        .join(
-            attrs.select(F.col("label").alias(ATTR_COL), F.col("node_id").alias("attr_id")),
-            on=ATTR_COL,
-        )
-        .select("value_id", "attr_id")
-    ).cache()
-    n_edges = edges.count()
-    inc.unpersist()
-    return BipartiteGraph(nodes, edges, n_values, n_attrs, n_edges)

@@ -10,47 +10,58 @@ This is the Latapy-style bipartite LCC; as the paper notes, it reduces to
 the average Jaccard similarity between attribute sets, and it reproduces
 the paper's Example 3.6 values (0.36 / 0.43 / 0.46) exactly.
 
-Implemented entirely in the DataFrame API: a self-join on attribute
-produces co-occurring value pairs, a group-by counts shared attributes,
-degrees complete the Jaccard, and a final group-by averages per value.
+Computed on the driver over twin classes, the distinct rows of the
+value×attribute matrix ``B`` (values with the same attribute set have
+the same LCC). With ``Bc`` those rows as dense float32, ``Bc[block] @
+Bc.T`` gives the shared-attribute counts of a block of classes against
+all classes (exact: counts stay far below 2**24). Then, for ``u`` in
+class ``C``,
+
+    LCC(u) = [(|C| - 1) + Σ_{C' ≠ C, I > 0} |C'| J(C, C')]
+             / [(|C| - 1) + Σ_{C' ≠ C, I > 0} |C'|]
+
+Blocks are sized so their temporaries stay under :data:`BLOCK_BYTES`.
 """
-from pyspark.sql import DataFrame
-from pyspark.sql import functions as F
+import numpy as np
 
 from repro.core.graph import BipartiteGraph
 
+#: Cap on one block's float64 ``(rows, n_classes)`` temporaries.
+BLOCK_BYTES = 256 * 1024
 
-def lcc_scores(graph: BipartiteGraph) -> DataFrame:
-    """LCC per value node: ``(node_id, lcc)``.
+
+def lcc_scores(graph: BipartiteGraph) -> np.ndarray:
+    """LCC of every value node, indexed by node id.
+
+    Each class's weighted Jaccard terms are summed in ascending order,
+    one after the other, so equal LCCs are bit-identical and ties rank
+    by label, not by float rounding.
 
     Value nodes with no value-neighbors (sole occupant of their
-    attributes) have an undefined mean; they are emitted with LCC = 1.0,
-    the "maximally clustered" end of the scale, since the measure is
-    ranked ascending and such nodes carry no homograph evidence.
+    attributes) have an undefined mean; they get LCC = 1.0, the
+    "maximally clustered" end of the scale, since the measure is ranked
+    ascending and such nodes carry no homograph evidence.
     """
-    e = graph.edges
-    deg = e.groupBy("value_id").agg(F.count("*").alias("deg"))
-
-    pairs = (
-        e.alias("a")
-        .join(e.alias("b"), on="attr_id")
-        .where(F.col("a.value_id") < F.col("b.value_id"))
-        .groupBy(
-            F.col("a.value_id").alias("v"), F.col("b.value_id").alias("w")
-        )
-        .agg(F.count("*").alias("inter"))
-    )
-    jac = (
-        pairs.join(deg.select(F.col("value_id").alias("v"), F.col("deg").alias("dv")), on="v")
-        .join(deg.select(F.col("value_id").alias("w"), F.col("deg").alias("dw")), on="w")
-        .withColumn("jaccard", F.col("inter") / (F.col("dv") + F.col("dw") - F.col("inter")))
-    )
-    sym = jac.select(F.col("v").alias("node_id"), "jaccard").unionByName(
-        jac.select(F.col("w").alias("node_id"), "jaccard")
-    )
-    means = sym.groupBy("node_id").agg(F.avg("jaccard").alias("lcc"))
-    return (
-        deg.select(F.col("value_id").alias("node_id"))
-        .join(means, on="node_id", how="left")
-        .withColumn("lcc", F.coalesce(F.col("lcc"), F.lit(1.0)))
-    )
+    n = graph.n_values
+    b = np.zeros((n, graph.n_attrs), dtype=bool)
+    b[graph.value_id, graph.attr_id - n] = True
+    rows_b, cls, size = np.unique(b, axis=0, return_inverse=True, return_counts=True)
+    bc = rows_b.astype(np.float32)
+    c = len(bc)
+    deg = bc.sum(axis=1, dtype=np.float64)
+    out = np.ones(c, dtype=np.float64)
+    rows = max(1, BLOCK_BYTES // (8 * max(c, 1)))
+    for lo in range(0, c, rows):
+        hi = min(lo + rows, c)
+        inter = (bc[lo:hi] @ bc.T).astype(np.float64)
+        jac = inter / (deg[lo:hi, None] + deg[None, :] - inter)
+        # Neighbors per class: all members of a sharing class, except u
+        # itself in its own class (J(C, C) = 1).
+        weight = np.where(inter > 0, size.astype(np.float64), 0.0)
+        weight[np.arange(hi - lo), np.arange(lo, hi)] -= 1.0
+        count = weight.sum(axis=1)
+        # Zero terms sort first and add exactly nothing to a sequential sum.
+        total = np.cumsum(np.sort(weight * jac, axis=1), axis=1)[:, -1]
+        has = count > 0
+        out[lo:hi][has] = total[has] / count[has]
+    return out[cls.reshape(-1)]

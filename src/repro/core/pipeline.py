@@ -7,9 +7,13 @@
 ``measure="bc"`` is betweenness centrality (exact when
 ``n_samples=None``, source-sampled otherwise); ``measure="lcc"`` is the
 bipartite local clustering coefficient.
+
+Spark runs only step (1)'s reduction of the lake to its incidences and
+the BC fan-out; the graph, LCC and the ranking live on the driver.
 """
 from __future__ import annotations
 
+import pandas as pd
 from pyspark.sql import DataFrame, SparkSession
 
 from repro.core.betweenness import betweenness_spark
@@ -26,19 +30,14 @@ def value_scores(
     measure: str = "bc",
     n_samples: int | None = None,
     seed: int = 0,
-    degree_weighted: bool = False,
-) -> DataFrame:
+) -> pd.DataFrame:
     """``(label, <measure>)`` for every value node of ``graph``."""
     if measure == "bc":
-        csr = csr_from_edges(graph.edges, graph.n_nodes)
-        scores = betweenness_spark(
-            spark, csr, n_samples=n_samples, seed=seed, degree_weighted=degree_weighted
-        )
-        # LCC ranks missing nodes as non-homographs via fill=1.0; for BC
-        # a missing node simply has zero centrality.
-        return attach_labels(graph, scores, score_col="bc", fill=0.0)
+        csr = csr_from_edges(graph)
+        scores = betweenness_spark(spark, csr, n_samples=n_samples, seed=seed)
+        return attach_labels(graph, scores, score_col="bc")
     if measure == "lcc":
-        return attach_labels(graph, lcc_scores(graph), score_col="lcc", fill=1.0)
+        return attach_labels(graph, lcc_scores(graph), score_col="lcc")
     raise ValueError(f"unknown measure {measure!r} (expected 'bc' or 'lcc')")
 
 
@@ -50,11 +49,11 @@ def rank_homographs(
     n_samples: int | None = None,
     seed: int = 0,
     prune_unique: bool = True,
-) -> tuple[BipartiteGraph, DataFrame]:
+) -> tuple[BipartiteGraph, pd.DataFrame]:
     """Full pipeline: lake cells → ranked homograph candidates.
 
-    Returns the graph and a ``(label, <measure>, rank)`` DataFrame with
-    rank 1 = strongest homograph candidate.
+    Returns the graph and a ``(label, <measure>, rank)`` pandas frame in
+    rank order, rank 1 = strongest homograph candidate.
     """
     graph = build_graph(cells, prune_unique=prune_unique)
     labeled = value_scores(

@@ -1,10 +1,10 @@
 """Score ranking (paper Fig. 4 step 3).
 
-Joins centrality scores back to value labels and orders them in the
+Attaches centrality scores to value labels and orders them in the
 measure's homograph direction: BC descending, LCC ascending.
 """
-from pyspark.sql import DataFrame, Window
-from pyspark.sql import functions as F
+import numpy as np
+import pandas as pd
 
 from repro.core.graph import BipartiteGraph
 
@@ -13,25 +13,28 @@ MEASURE_ASCENDING = {"bc": False, "lcc": True}
 
 
 def attach_labels(
-    graph: BipartiteGraph, scores: DataFrame, *, score_col: str, fill: float = 0.0
-) -> DataFrame:
+    graph: BipartiteGraph, scores: np.ndarray, *, score_col: str
+) -> pd.DataFrame:
     """``(label, score)`` for every value node of the graph.
 
-    Value nodes absent from ``scores`` (e.g. zero-BC nodes, which the
-    sparse reducer never emits) get ``fill``.
+    ``scores`` is indexed by node id; entries past the value nodes
+    (attribute-node BC) are ignored.
     """
-    return (
-        graph.value_nodes()
-        .join(scores.select("node_id", score_col), on="node_id", how="left")
-        .withColumn(score_col, F.coalesce(F.col(score_col), F.lit(float(fill))))
-        .select("label", score_col)
+    return pd.DataFrame(
+        {
+            "label": graph.value_labels(),
+            score_col: np.asarray(scores, dtype=np.float64)[: graph.n_values],
+        }
     )
 
 
-def rank_values(labeled: DataFrame, *, score_col: str, ascending: bool) -> DataFrame:
-    """Add a dense 1-based ``rank`` column, ties broken by label."""
-    order = [
-        F.col(score_col).asc() if ascending else F.col(score_col).desc(),
-        F.col("label").asc(),
-    ]
-    return labeled.withColumn("rank", F.row_number().over(Window.orderBy(*order)))
+def rank_values(
+    labeled: pd.DataFrame, *, score_col: str, ascending: bool
+) -> pd.DataFrame:
+    """Sort in the measure's direction and add a dense 1-based ``rank``
+    column, ties broken by label."""
+    out = labeled.sort_values(
+        [score_col, "label"], ascending=[ascending, True], kind="stable"
+    ).reset_index(drop=True)
+    out["rank"] = np.arange(1, len(out) + 1, dtype=np.int64)
+    return out

@@ -9,6 +9,7 @@ with the TUS-lite scale factor.
 from __future__ import annotations
 
 import time
+from contextlib import contextmanager
 
 import numpy as np
 import pandas as pd
@@ -83,7 +84,7 @@ def sb_top55(
             n_samples=n_samples if measure == "bc" else None, seed=seed,
         )
         curve = topk_curve(
-            ranked.withColumn("is_homograph", ranked.label.isin(list(homs))),
+            ranked.assign(is_homograph=ranked.label.isin(homs)),
             score_col=measure,
             ascending=(measure == "lcc"),
         )
@@ -125,18 +126,26 @@ def _injection_run(
         spark, inj.cells, measure="bc", n_samples=n_samples, seed=seed
     )
     curve = topk_curve(
-        ranked.withColumn("is_homograph", ranked.label.isin(inj.injected)),
+        ranked.assign(is_homograph=ranked.label.isin(inj.injected)),
         score_col="bc",
     )
     return hits_in_topk(curve, n, inj.injected) / n
 
 
+@contextmanager
 def _clean_tus(spark, sf, seed):
+    """``(lake, clean cells, column domains)`` of a TUS-lite lake, the
+    two frames cached for the block and released after it."""
     lake = tus_lake(spark, sf=sf, seed=seed)
     clean, _ = remove_homographs(spark, lake)
     clean = clean.cache()
-    clean.count()
-    return lake, clean
+    cd = lake.column_domains(spark).cache()
+    try:
+        clean.count()
+        yield lake, clean, cd
+    finally:
+        clean.unpersist()
+        cd.unpersist()
 
 
 def table2_cardinality(
@@ -147,20 +156,19 @@ def table2_cardinality(
     """% of ``n`` injected homographs (2 meanings) in the top-``n`` by BC
     vs the attribute-cardinality threshold of the replaced values.
     Thresholds are scaled by ``sf`` (column sizes scale with sf)."""
-    lake, clean = _clean_tus(spark, sf, seed)
-    cd = lake.column_domains(spark).cache()
     rows = []
-    for thr in thresholds:
-        scaled = int(round(thr * sf))
-        hits = [
-            _injection_run(
-                spark, clean, cd, n=n, meanings=2, min_cardinality=scaled,
-                n_samples=n_samples, seed=seed * 1000 + thr + r,
-            )
-            for r in range(runs)
-        ]
-        rows.append((thr, scaled, 100 * float(np.mean(hits)), runs))
-        print(f"card ≥ {thr} (scaled {scaled}): {rows[-1][2]:.1f}% in top-{n}")
+    with _clean_tus(spark, sf, seed) as (_, clean, cd):
+        for thr in thresholds:
+            scaled = int(round(thr * sf))
+            hits = [
+                _injection_run(
+                    spark, clean, cd, n=n, meanings=2, min_cardinality=scaled,
+                    n_samples=n_samples, seed=seed * 1000 + thr + r,
+                )
+                for r in range(runs)
+            ]
+            rows.append((thr, scaled, 100 * float(np.mean(hits)), runs))
+            print(f"card ≥ {thr} (scaled {scaled}): {rows[-1][2]:.1f}% in top-{n}")
     return pd.DataFrame(
         rows, columns=["threshold", "scaled_threshold", "pct_in_topn", "runs"]
     )
@@ -173,20 +181,19 @@ def table3_meanings(
 ) -> pd.DataFrame:
     """% of injected homographs in the top-``n`` vs number of meanings,
     with replaced values from attributes of cardinality ≥ 500·sf."""
-    lake, clean = _clean_tus(spark, sf, seed)
-    cd = lake.column_domains(spark).cache()
     scaled = int(round(min_cardinality * sf))
     rows = []
-    for m in meanings:
-        hits = [
-            _injection_run(
-                spark, clean, cd, n=n, meanings=m, min_cardinality=scaled,
-                n_samples=n_samples, seed=seed * 1000 + 37 * m + r,
-            )
-            for r in range(runs)
-        ]
-        rows.append((m, 100 * float(np.mean(hits)), runs))
-        print(f"meanings = {m}: {rows[-1][1]:.1f}% in top-{n}")
+    with _clean_tus(spark, sf, seed) as (_, clean, cd):
+        for m in meanings:
+            hits = [
+                _injection_run(
+                    spark, clean, cd, n=n, meanings=m, min_cardinality=scaled,
+                    n_samples=n_samples, seed=seed * 1000 + 37 * m + r,
+                )
+                for r in range(runs)
+            ]
+            rows.append((m, 100 * float(np.mean(hits)), runs))
+            print(f"meanings = {m}: {rows[-1][1]:.1f}% in top-{n}")
     return pd.DataFrame(rows, columns=["meanings", "pct_in_topn", "runs"])
 
 
@@ -197,23 +204,20 @@ def tus_topk(
 ) -> dict:
     """Top-k precision/recall/F1 on TUS-lite with its natural homographs."""
     lake = tus_lake(spark, sf=sf, seed=seed)
-    truth = definition2_truth(spark, lake.cells, lake.column_domains(spark))
+    homs = _homograph_labels(spark, lake)
     _, ranked = rank_homographs(
         spark, lake.cells, measure="bc", n_samples=n_samples, seed=seed
     )
-    scored = ranked.join(truth, on="label", how="left").fillna(
-        False, subset=["is_homograph"]
+    curve = topk_curve(
+        ranked.assign(is_homograph=ranked.label.isin(homs)), score_col="bc"
     )
-    curve = topk_curve(scored, score_col="bc").cache()
-    n_hom = truth.where("is_homograph").count()
+    n_hom = len(homs)
     out = {
         "n_homographs": n_hom,
         "at_k": {k: metrics_at_k(curve, k) for k in ks if k < n_hom},
         "at_n_hom": metrics_at_k(curve, n_hom),
         "best_f1": best_f1(curve),
-        "top10": curve.orderBy("rank").limit(10).toPandas()[
-            ["rank", "label", "bc", "is_homograph"]
-        ],
+        "top10": curve.head(10)[["rank", "label", "bc", "is_homograph"]],
     }
     for k, m in out["at_k"].items():
         print(f"P@{k} = {m['precision']:.3f}  R = {m['recall']:.3f}")
@@ -228,6 +232,12 @@ def tus_topk(
     return out
 
 
+def _homograph_labels(spark, lake) -> set:
+    """Labels of the lake's Definition-2 homographs."""
+    truth = definition2_truth(spark, lake.cells, lake.column_domains(spark))
+    return set(truth.where("is_homograph").select("label").toPandas()["label"])
+
+
 # -------------------------------------------- §5.4: scalability (Figs 8–9)
 def scalability_samples(
     spark: SparkSession, *, sf: float = 1.0, seed: int = 0,
@@ -235,20 +245,19 @@ def scalability_samples(
 ) -> pd.DataFrame:
     """Precision@#homographs and wall-clock vs BC sample count (Fig. 8)."""
     lake = tus_lake(spark, sf=sf, seed=seed)
-    truth = definition2_truth(spark, lake.cells, lake.column_domains(spark)).cache()
-    n_hom = truth.where("is_homograph").count()
+    homs = _homograph_labels(spark, lake)
+    n_hom = len(homs)
     graph = build_graph(lake.cells, prune_unique=True)
-    csr = csr_from_edges(graph.edges, graph.n_nodes)
+    csr = csr_from_edges(graph)
     rows = []
     for s in sample_sizes:
         s = min(s, csr.n)
         t0 = time.perf_counter()
         scores = betweenness_spark(spark, csr, n_samples=s, seed=seed)
-        labeled = attach_labels(graph, scores, score_col="bc", fill=0.0)
-        scored = labeled.join(truth, on="label", how="left").fillna(
-            False, subset=["is_homograph"]
+        labeled = attach_labels(graph, scores, score_col="bc")
+        curve = topk_curve(
+            labeled.assign(is_homograph=labeled.label.isin(homs)), score_col="bc"
         )
-        curve = topk_curve(scored, score_col="bc")
         prec = metrics_at_k(curve, n_hom)["precision"]
         dt = time.perf_counter() - t0
         rows.append((s, prec, dt))
@@ -267,16 +276,15 @@ def scalability_subgraphs(
     t0 = time.perf_counter()
     graph = build_graph(lake.cells, prune_unique=True)
     build_s = time.perf_counter() - t0
-    edges = graph.edges.toPandas()
     print(
         f"graph: {graph.n_nodes} nodes, {graph.n_edges} edges, "
         f"constructed in {build_s:.1f}s"
     )
     rows = []
     for target in edge_targets:
-        if target > len(edges):
+        if target > graph.n_edges:
             continue
-        csr = attribute_induced_subgraph(edges, target, seed=seed)
+        csr = attribute_induced_subgraph(graph, target, seed=seed)
         # Fixed source count by default → runtime is linear in edges
         # (O(s·m)); a sample fraction reproduces the paper's 1% setting.
         s = n_sources if sample_frac is None else max(16, int(csr.n * sample_frac))
@@ -306,29 +314,28 @@ def d4_impact(
 ) -> pd.DataFrame:
     """Number of D4 domains (and per-column stats) as injected homographs
     increase (Fig. 10)."""
-    lake, clean = _clean_tus(spark, sf, seed)
-    cd = lake.column_domains(spark).cache()
-    n_true = lake.columns["domain"].nunique()
     rows = []
     base = None  # the 0-injection run is shared across meaning settings
-    for m in meanings:
-        for n_inj in injections:
-            if n_inj == 0:
-                if base is None:
-                    base = discover_domains(spark, clean)
-                res = base
-            else:
-                cells = inject_homographs(
-                    spark, clean, cd, n=n_inj, meanings=m,
-                    min_cardinality=0, seed=seed + n_inj + m,
-                ).cells
-                res = discover_domains(spark, cells)
-            mx, avg = res.domains_per_column()
-            rows.append((m, n_inj, res.n_domains, mx, avg))
-            print(
-                f"meanings={m} injected={n_inj}: domains={res.n_domains} "
-                f"(true {n_true}) per-col max={mx} avg={avg:.3f}"
-            )
+    with _clean_tus(spark, sf, seed) as (lake, clean, cd):
+        n_true = lake.columns["domain"].nunique()
+        for m in meanings:
+            for n_inj in injections:
+                if n_inj == 0:
+                    if base is None:
+                        base = discover_domains(spark, clean)
+                    res = base
+                else:
+                    cells = inject_homographs(
+                        spark, clean, cd, n=n_inj, meanings=m,
+                        min_cardinality=0, seed=seed + n_inj + m,
+                    ).cells
+                    res = discover_domains(spark, cells)
+                mx, avg = res.domains_per_column()
+                rows.append((m, n_inj, res.n_domains, mx, avg))
+                print(
+                    f"meanings={m} injected={n_inj}: domains={res.n_domains} "
+                    f"(true {n_true}) per-col max={mx} avg={avg:.3f}"
+                )
     out = pd.DataFrame(
         rows, columns=["meanings", "n_injected", "n_domains", "max_per_col", "avg_per_col"]
     )

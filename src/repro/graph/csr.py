@@ -2,15 +2,18 @@
 
 The DomainNet graphs at reproduction scale (10^4–10^6 nodes) fit
 comfortably in driver memory as two int arrays; the CSR is built from the
-Spark ``edges`` DataFrame, broadcast to executors, and indexed by the
-dense node ids assigned in :mod:`repro.core.graph`.
+driver-resident edge arrays of :mod:`repro.core.graph`, broadcast to
+executors, and indexed by the dense node ids assigned there.
 """
 from __future__ import annotations
 
 from dataclasses import dataclass
+from typing import TYPE_CHECKING
 
 import numpy as np
-from pyspark.sql import DataFrame
+
+if TYPE_CHECKING:
+    from repro.core.graph import BipartiteGraph
 
 
 @dataclass(frozen=True)
@@ -53,10 +56,6 @@ def csr_from_arrays(src: np.ndarray, dst: np.ndarray, n: int) -> CSR:
     return CSR(indptr=indptr, indices=v)
 
 
-def csr_from_edges(edges: DataFrame, n: int) -> CSR:
-    """Collect a Spark ``(value_id, attr_id)`` edges DataFrame into a CSR
-    over ``n`` nodes."""
-    pdf = edges.toPandas()
-    return csr_from_arrays(
-        pdf["value_id"].to_numpy(np.int64), pdf["attr_id"].to_numpy(np.int64), n
-    )
+def csr_from_edges(graph: BipartiteGraph) -> CSR:
+    """CSR over every node of a DomainNet graph (values and attributes)."""
+    return csr_from_arrays(graph.value_id, graph.attr_id, graph.n_nodes)

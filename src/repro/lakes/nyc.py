@@ -11,9 +11,9 @@ extraction (attribute-induced random subgraphs of growing size).
 from __future__ import annotations
 
 import numpy as np
-import pandas as pd
 from pyspark.sql import SparkSession
 
+from repro.core.graph import BipartiteGraph
 from repro.graph.csr import CSR, csr_from_arrays
 from repro.lakes.tus import TUSLake, tus_lake
 
@@ -33,7 +33,7 @@ def nyc_lake(spark: SparkSession, *, sf: float = 1.0, seed: int = 7) -> TUSLake:
 
 
 def attribute_induced_subgraph(
-    edges: pd.DataFrame, target_edges: int, *, seed: int = 0
+    graph: BipartiteGraph, target_edges: int, *, seed: int = 0
 ) -> CSR:
     """Random attribute-induced subgraph (paper footnote 9).
 
@@ -43,23 +43,13 @@ def attribute_induced_subgraph(
     compact.
     """
     rng = np.random.default_rng(seed)
-    attrs = edges["attr_id"].unique()
+    attrs = np.unique(graph.attr_id)
     rng.shuffle(attrs)
-    by_attr = edges.groupby("attr_id")
-    sizes = by_attr.size()
-    chosen = []
-    total = 0
-    for a in attrs:
-        chosen.append(a)
-        total += int(sizes.loc[a])
-        if total >= target_edges:
-            break
-    sub = edges[edges["attr_id"].isin(set(chosen))]
+    reached = np.cumsum(np.bincount(graph.attr_id)[attrs])
+    n_chosen = min(int(np.searchsorted(reached, target_edges)) + 1, len(attrs))
+    keep = np.isin(graph.attr_id, attrs[:n_chosen])
+    sub_v, sub_a = graph.value_id[keep], graph.attr_id[keep]
     # densify ids: values then attrs, as in repro.core.graph.
-    v_ids = np.sort(sub["value_id"].unique())
-    a_ids = np.sort(sub["attr_id"].unique())
-    v_map = {v: i for i, v in enumerate(v_ids)}
-    a_map = {a: len(v_ids) + i for i, a in enumerate(a_ids)}
-    src = sub["value_id"].map(v_map).to_numpy(np.int64)
-    dst = sub["attr_id"].map(a_map).to_numpy(np.int64)
-    return csr_from_arrays(src, dst, len(v_ids) + len(a_ids))
+    v_ids, src = np.unique(sub_v, return_inverse=True)
+    a_ids, dst = np.unique(sub_a, return_inverse=True)
+    return csr_from_arrays(src, dst + len(v_ids), len(v_ids) + len(a_ids))

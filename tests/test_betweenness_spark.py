@@ -18,30 +18,23 @@ def _random_csr(n=40, m=120, seed=3):
     return csr_from_arrays(src[keep], dst[keep], n)
 
 
-def _collect(df, n):
-    out = np.zeros(n)
-    for r in df.collect():
-        out[r["node_id"]] = r["bc"]
-    return out
-
-
 def test_spark_exact_matches_kernel(spark):
     csr = _random_csr()
-    got = _collect(betweenness_spark(spark, csr, normalized=True), csr.n)
+    got = betweenness_spark(spark, csr, normalized=True)
     ref = betweenness_exact(csr, normalized=True)
     assert np.allclose(got, ref, atol=1e-12)
 
 
 def test_spark_exact_raw_matches_kernel(spark):
     csr = _random_csr(seed=4)
-    got = _collect(betweenness_spark(spark, csr, normalized=False), csr.n)
+    got = betweenness_spark(spark, csr, normalized=False)
     ref = betweenness_exact(csr, normalized=False)
     assert np.allclose(got, ref, atol=1e-12)
 
 
 def test_all_sources_sampled_equals_exact(spark):
     csr = _random_csr(seed=5)
-    got = _collect(betweenness_spark(spark, csr, n_samples=csr.n, seed=0), csr.n)
+    got = betweenness_spark(spark, csr, n_samples=csr.n, seed=0)
     ref = betweenness_exact(csr, normalized=True)
     assert np.allclose(got, ref, atol=1e-12)
 
@@ -50,9 +43,7 @@ def test_explicit_sources_subset(spark):
     csr = _random_csr(seed=6)
     # half the sources, explicitly: estimator = (n/s)·partial sums.
     sources = list(range(0, csr.n, 2))
-    got = _collect(
-        betweenness_spark(spark, csr, sources=sources, normalized=False), csr.n
-    )
+    got = betweenness_spark(spark, csr, sources=sources, normalized=False)
     from repro.core.betweenness import brandes_dependencies
 
     partial = np.zeros(csr.n)
@@ -64,7 +55,7 @@ def test_explicit_sources_subset(spark):
 def test_sampled_ranking_correlates_with_exact(spark):
     csr = _random_csr(n=120, m=400, seed=7)
     exact = betweenness_exact(csr, normalized=True)
-    approx = _collect(betweenness_spark(spark, csr, n_samples=60, seed=1), csr.n)
+    approx = betweenness_spark(spark, csr, n_samples=60, seed=1)
     # Spearman rank correlation, computed by hand to avoid scipy import
     # issues: correlation of rank vectors.
     def ranks(x):
@@ -82,9 +73,9 @@ def test_figure1_subgraph_bc_ordering(spark):
     g = build_graph(
         lake_from_tables(spark, EXAMPLE31_TABLES), prune_unique=False
     )
-    csr = csr_from_edges(g.edges, g.n_nodes)
+    csr = csr_from_edges(g)
     bc = betweenness_exact(csr, normalized=True)
-    labels = {r.label: r.node_id for r in g.value_nodes().collect()}
+    labels = {label: i for i, label in enumerate(g.value_labels())}
     jag, puma = bc[labels["JAGUAR"]], bc[labels["PUMA"]]
     toyota, panda = bc[labels["TOYOTA"]], bc[labels["PANDA"]]
     assert jag > 5 * puma  # paper: 0.025 vs 0.003
@@ -97,12 +88,19 @@ def test_figure1_subgraph_bc_ordering(spark):
 
 def test_parallelism_param_stable(spark):
     csr = _random_csr(seed=8)
-    a = _collect(betweenness_spark(spark, csr, parallelism=1), csr.n)
-    b = _collect(betweenness_spark(spark, csr, parallelism=8), csr.n)
+    a = betweenness_spark(spark, csr, parallelism=1)
+    b = betweenness_spark(spark, csr, parallelism=8)
     assert np.allclose(a, b, atol=1e-12)
 
 
 def test_empty_sources_yields_empty(spark):
     csr = _random_csr(seed=9)
     out = betweenness_spark(spark, csr, sources=[], normalized=False)
-    assert out.count() == 0
+    assert out.shape == (csr.n,)
+    assert not out.any()
+
+
+@pytest.mark.parametrize("n_samples", [0, -1])
+def test_non_positive_samples_raise(spark, n_samples):
+    with pytest.raises(ValueError, match="n_samples"):
+        betweenness_spark(spark, _random_csr(seed=10), n_samples=n_samples)

@@ -45,12 +45,11 @@ def test_symmetry_random():
 
 def test_csr_from_edges_matches_graph(spark):
     g = build_graph(lake_from_tables(spark, EXAMPLE31_TABLES), prune_unique=False)
-    csr = csr_from_edges(g.edges, g.n_nodes)
+    csr = csr_from_edges(g)
     assert csr.n == 12
     assert csr.n_undirected_edges == 14
     # value-node degrees equal attribute counts
-    degs = {r.node_id: r.degree for r in g.value_degrees().collect()}
-    for node_id, deg in degs.items():
+    for node_id, deg in enumerate(g.value_degrees()):
         assert len(csr.neighbors(node_id)) == deg
 
 

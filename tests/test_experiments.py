@@ -15,6 +15,10 @@ from repro.eval.experiments import (
 )
 
 
+def _persisted_rdds(spark) -> int:
+    return spark.sparkContext._jsc.getPersistentRDDs().size()
+
+
 def test_table1_harness(spark):
     out = table1_stats(spark, sb_scale=0.1, tus_sf=0.05, nyc_sf=0.01)
     assert list(out.dataset) == ["SB", "TUS-lite", "TUS-I (clean)", "NYC-lite"]
@@ -33,9 +37,11 @@ def test_sb_top55_harness(spark):
 
 
 def test_table2_harness(spark):
+    before = _persisted_rdds(spark)
     out = table2_cardinality(
         spark, sf=0.15, n=10, runs=1, thresholds=(0, 300), n_samples=400
     )
+    assert _persisted_rdds(spark) == before  # harness caches released
     assert list(out.threshold) == [0, 300]
     assert (out.pct_in_topn >= 0).all() and (out.pct_in_topn <= 100).all()
     assert (out.scaled_threshold == [0, 45]).all()
@@ -50,7 +56,9 @@ def test_table3_harness(spark):
 
 
 def test_tus_topk_harness(spark):
+    before = _persisted_rdds(spark)
     out = tus_topk(spark, sf=0.1, n_samples=400, ks=(20, 50))
+    assert _persisted_rdds(spark) == before
     assert out["n_homographs"] > 0
     assert len(out["top10"]) == 10
     assert out["at_n_hom"]["precision"] > 0.3
@@ -73,7 +81,9 @@ def test_scalability_subgraphs_harness(spark):
 
 
 def test_d4_impact_harness(spark):
+    before = _persisted_rdds(spark)
     out = d4_impact(spark, sf=0.12, injections=(0, 20), meanings=(2,))
+    assert _persisted_rdds(spark) == before
     assert len(out) == 2
     base = out[out.n_injected == 0].n_domains.iloc[0]
     inj = out[out.n_injected == 20].n_domains.iloc[0]

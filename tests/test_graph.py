@@ -1,6 +1,7 @@
 """Tests for bipartite graph construction (repro.core.graph, paper §3.2)."""
+import numpy as np
+import pandas as pd
 import pytest
-from pyspark.sql import functions as F
 
 from repro.core.graph import build_graph, incidences
 from repro.lakes.datalake import lake_from_tables
@@ -43,33 +44,50 @@ def test_example31_counts(g31):
 
 
 def test_value_and_attr_id_ranges(g31):
-    nodes = g31.nodes.toPandas()
-    vals = nodes[nodes.is_value]
-    attrs = nodes[~nodes.is_value]
-    assert sorted(vals.node_id) == list(range(g31.n_values))
-    assert sorted(attrs.node_id) == list(
+    assert len(g31.labels) == g31.n_nodes
+    assert sorted(set(g31.value_id)) == list(range(g31.n_values))
+    assert sorted(set(g31.attr_id)) == list(
         range(g31.n_values, g31.n_values + g31.n_attrs)
     )
+    assert set(g31.labels[g31.n_values :]) == {"T1.At Risk", "T2.name", "T3.C2", "T4.Name"}
 
 
 def test_node_ids_deterministic_by_label(g31):
-    vals = g31.nodes.where("is_value").orderBy("node_id").toPandas()
-    assert list(vals.label) == sorted(vals.label)
+    vals = list(g31.value_labels())
+    assert vals == sorted(vals)
+    attrs = list(g31.labels[g31.n_values :])
+    assert attrs == sorted(attrs)
 
 
 def test_each_value_is_single_node(g31):
     # JAGUAR occurs in all four attributes but is one node (paper §3.2).
-    nodes = g31.nodes.toPandas()
-    assert (nodes.label == "JAGUAR").sum() == 1
-    jid = int(nodes.loc[nodes.label == "JAGUAR", "node_id"].iloc[0])
-    assert g31.edges.where(F.col("value_id") == jid).count() == 4
+    assert (g31.labels == "JAGUAR").sum() == 1
+    jid = int(np.flatnonzero(g31.labels == "JAGUAR")[0])
+    assert (g31.value_id == jid).sum() == 4
+
+
+def test_edges_oracle(spark, fig1):
+    graph = build_graph(fig1, prune_unique=False)
+    got = pd.DataFrame(
+        {"attr": graph.labels[graph.attr_id], "value": graph.labels[graph.value_id]}
+    )
+    assert_equivalent(
+        got,
+        """
+        SELECT DISTINCT table_id || '.' || col_id AS attr,
+               UPPER(TRIM(value)) AS value
+        FROM cells
+        WHERE value IS NOT NULL AND TRIM(value) <> ''
+        """,
+        cells=fig1.toPandas(),
+    )
 
 
 def test_value_degrees_oracle(spark, fig1):
     graph = build_graph(fig1, prune_unique=False)
-    got = graph.value_degrees().join(
-        graph.nodes.where("is_value"), on="node_id"
-    ).select(F.col("label").alias("value"), "degree")
+    got = pd.DataFrame(
+        {"value": graph.value_labels(), "degree": graph.value_degrees()}
+    )
     assert_equivalent(
         got,
         """
@@ -85,13 +103,14 @@ def test_value_degrees_oracle(spark, fig1):
 
 def test_prune_unique_keeps_only_multi_attribute_values(spark, fig1):
     pruned = build_graph(fig1, prune_unique=True)
-    labels = set(pruned.value_nodes().toPandas().label)
+    labels = set(pruned.value_labels())
     # the full Figure-1 lake's multi-attribute values ("2" repeats only
     # within T2.num, so it is pruned):
     assert labels == {"JAGUAR", "PUMA", "PANDA", "TOYOTA"}
     assert pruned.n_attrs == 12  # attribute universe unchanged
-    degs = pruned.value_degrees().toPandas()
-    assert (degs.degree >= 2).all()
+    assert (pruned.value_degrees() >= 2).all()
+    full = build_graph(fig1, prune_unique=False)
+    assert list(pruned.labels[pruned.n_values :]) == list(full.labels[full.n_values :])
 
 
 def test_prune_false_keeps_all(spark, fig1):
@@ -100,16 +119,15 @@ def test_prune_false_keeps_all(spark, fig1):
 
 
 def test_edges_reference_valid_nodes(g31):
-    nodes = set(g31.nodes.toPandas().node_id)
-    edges = g31.edges.toPandas()
-    assert set(edges.value_id) <= nodes
-    assert set(edges.attr_id) <= nodes
-    assert (edges.value_id < g31.n_values).all()
-    assert (edges.attr_id >= g31.n_values).all()
+    assert g31.value_id.dtype == g31.attr_id.dtype == np.int64
+    assert (g31.value_id >= 0).all()
+    assert (g31.value_id < g31.n_values).all()
+    assert (g31.attr_id >= g31.n_values).all()
+    assert (g31.attr_id < g31.n_nodes).all()
 
 
 def test_edges_distinct(g31):
-    e = g31.edges.toPandas()
+    e = pd.DataFrame({"v": g31.value_id, "a": g31.attr_id})
     assert len(e) == len(e.drop_duplicates())
 
 
@@ -121,4 +139,6 @@ def test_build_graph_idempotent_counts(spark, fig1):
         g2.n_attrs,
         g2.n_edges,
     )
-    assert g1.nodes.toPandas().equals(g2.nodes.toPandas())
+    assert np.array_equal(g1.labels, g2.labels)
+    assert np.array_equal(g1.value_id, g2.value_id)
+    assert np.array_equal(g1.attr_id, g2.attr_id)

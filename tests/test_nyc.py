@@ -25,35 +25,34 @@ def test_nyc_scales_with_sf(spark, small_nyc):
 
 
 @pytest.fixture(scope="module")
-def edges_pdf(spark, small_nyc):
-    g = build_graph(small_nyc.cells, prune_unique=True)
-    return g.edges.toPandas()
+def graph(spark, small_nyc):
+    return build_graph(small_nyc.cells, prune_unique=True)
 
 
 @pytest.mark.parametrize("target", [50, 200])
-def test_subgraph_reaches_target_edges(edges_pdf, target):
-    csr = attribute_induced_subgraph(edges_pdf, target, seed=0)
+def test_subgraph_reaches_target_edges(graph, target):
+    csr = attribute_induced_subgraph(graph, target, seed=0)
     # within the margin of the last attribute added (footnote 9)
-    max_attr = edges_pdf.groupby("attr_id").size().max()
+    max_attr = np.bincount(graph.attr_id).max()
     assert target <= csr.n_undirected_edges <= target + max_attr
 
 
-def test_subgraph_is_valid_csr(edges_pdf):
-    csr = attribute_induced_subgraph(edges_pdf, 100, seed=1)
+def test_subgraph_is_valid_csr(graph):
+    csr = attribute_induced_subgraph(graph, 100, seed=1)
     assert csr.indptr[-1] == len(csr.indices)
     assert (csr.indices < csr.n).all()
     # symmetric: total degree is twice the edge count
     assert csr.degrees().sum() == 2 * csr.n_undirected_edges
 
 
-def test_subgraph_deterministic(edges_pdf):
-    a = attribute_induced_subgraph(edges_pdf, 100, seed=2)
-    b = attribute_induced_subgraph(edges_pdf, 100, seed=2)
+def test_subgraph_deterministic(graph):
+    a = attribute_induced_subgraph(graph, 100, seed=2)
+    b = attribute_induced_subgraph(graph, 100, seed=2)
     assert np.array_equal(a.indptr, b.indptr)
     assert np.array_equal(a.indices, b.indices)
 
 
-def test_subgraph_larger_target_more_edges(edges_pdf):
-    small = attribute_induced_subgraph(edges_pdf, 50, seed=3)
-    large = attribute_induced_subgraph(edges_pdf, 500, seed=3)
+def test_subgraph_larger_target_more_edges(graph):
+    small = attribute_induced_subgraph(graph, 50, seed=3)
+    large = attribute_induced_subgraph(graph, 500, seed=3)
     assert large.n_undirected_edges > small.n_undirected_edges

@@ -1,13 +1,17 @@
 """End-to-end pipeline tests (repro.core.pipeline) on the paper's
-running example and a small SB instance — the integration layer."""
+running example, degenerate lakes and a small SB instance — the
+integration layer."""
+import numpy as np
 import pytest
 
 from repro.core.pipeline import rank_homographs, value_scores
 from repro.core.graph import build_graph
-from repro.eval.metrics import metrics_at_k, topk_curve
+from repro.core.lcc import lcc_scores
+from repro.core.ranking import MEASURE_ASCENDING, attach_labels, rank_values
+from repro.eval.metrics import best_f1, hits_in_topk, metrics_at_k, topk_curve
 from repro.lakes.datalake import lake_from_tables
 from repro.lakes.sb import sb_lake
-from tests.fixtures import EXAMPLE31_TABLES
+from tests.fixtures import EXAMPLE31_TABLES, FIGURE1_TABLES
 
 
 def test_figure1_bc_ranks_jaguar_first(spark):
@@ -15,8 +19,8 @@ def test_figure1_bc_ranks_jaguar_first(spark):
     _, ranked = rank_homographs(
         spark, lake, measure="bc", prune_unique=False
     )
-    top = ranked.orderBy("rank").limit(2).toPandas()
-    assert list(top.label) == ["JAGUAR", "PUMA"]
+    assert list(ranked.label[:2]) == ["JAGUAR", "PUMA"]
+    assert list(ranked["rank"]) == list(range(1, len(ranked) + 1))
 
 
 def test_figure1_lcc_ranks_jaguar_first(spark):
@@ -24,8 +28,7 @@ def test_figure1_lcc_ranks_jaguar_first(spark):
     _, ranked = rank_homographs(
         spark, lake, measure="lcc", prune_unique=False
     )
-    top = ranked.orderBy("rank").limit(1).toPandas()
-    assert list(top.label) == ["JAGUAR"]
+    assert ranked.label.iloc[0] == "JAGUAR"
 
 
 def test_unknown_measure_raises(spark):
@@ -40,7 +43,94 @@ def test_prune_shrinks_candidates(spark):
     g_full, _ = rank_homographs(spark, lake, measure="bc", prune_unique=False)
     g_pruned, ranked = rank_homographs(spark, lake, measure="bc", prune_unique=True)
     assert g_pruned.n_values < g_full.n_values
-    assert ranked.count() == g_pruned.n_values
+    assert len(ranked) == g_pruned.n_values
+
+
+#: (lake, prune_unique, n_values, n_attrs, expected ranking per measure)
+DEGENERATE_LAKES = {
+    "empty": ({}, True, 0, 0, {"bc": [], "lcc": []}),
+    "all-pruned": (
+        {"T": {"x": ["a", "b"], "y": ["c", " C "]}}, True, 0, 2,
+        {"bc": [], "lcc": []},
+    ),
+    # one attribute: every value is a leaf of the same attribute node.
+    "one-attribute": (
+        {"T": {"x": ["c", "a", "b"]}}, False, 3, 1,
+        {"bc": ["A", "B", "C"], "lcc": ["A", "B", "C"]},
+    ),
+    # two components: {A, B} over x, y, z (A also in z) and a 4-cycle
+    # P, Q over u, v. Raw BC: A 7, B 1, P 1, Q 1; LCC: A = B = 2/3,
+    # P = Q = 1.
+    "disconnected": (
+        {
+            "T1": {"x": ["a", "b"], "y": ["a", "b"], "z": ["a"]},
+            "T2": {"u": ["p", "q"], "v": ["q", "p"]},
+        },
+        True, 4, 5,
+        {"bc": ["A", "B", "P", "Q"], "lcc": ["A", "B", "P", "Q"]},
+    ),
+}
+
+
+@pytest.mark.parametrize("measure", ["bc", "lcc"])
+@pytest.mark.parametrize("name", sorted(DEGENERATE_LAKES))
+def test_degenerate_lakes_rank(spark, name, measure):
+    tables, prune, n_values, n_attrs, expected = DEGENERATE_LAKES[name]
+    lake = lake_from_tables(spark, tables)
+    graph, ranked = rank_homographs(spark, lake, measure=measure, prune_unique=prune)
+    assert (graph.n_values, graph.n_attrs) == (n_values, n_attrs)
+    assert list(ranked.columns) == ["label", measure, "rank"]
+    assert list(ranked.label) == expected[measure]
+    assert list(ranked["rank"]) == list(range(1, n_values + 1))
+    assert np.isfinite(ranked[measure]).all()
+    if name == "disconnected":
+        got = dict(zip(ranked.label, ranked[measure]))
+        if measure == "lcc":
+            assert got == pytest.approx({"A": 2 / 3, "B": 2 / 3, "P": 1.0, "Q": 1.0})
+        else:
+            assert got["B"] == got["P"] == got["Q"] == pytest.approx(got["A"] / 7)
+    curve = topk_curve(
+        ranked.assign(is_homograph=ranked.label == "A"),
+        score_col=measure,
+        ascending=MEASURE_ASCENDING[measure],
+    )
+    assert metrics_at_k(curve, 1)["tp"] == int("A" in expected[measure])
+
+
+def test_driver_layers_run_no_spark_jobs(spark):
+    """LCC, ranking and the metrics run on the driver: zero Spark jobs."""
+    sc = spark.sparkContext
+    graph = build_graph(lake_from_tables(spark, FIGURE1_TABLES))
+    labeled = {"bc": value_scores(spark, graph, measure="bc")}
+    homs = {"JAGUAR", "PUMA"}
+
+    def jobs_in_group(group, work):
+        sc.setJobGroup(group, group)
+        try:
+            work()
+        finally:
+            sc.setLocalProperty("spark.jobGroup.id", None)
+            sc.setLocalProperty("spark.job.description", None)
+        sc._jsc.sc().listenerBus().waitUntilEmpty(30_000)
+        return len(sc.statusTracker().getJobIdsForGroup(group))
+
+    def driver_layers():
+        labeled["lcc"] = attach_labels(graph, lcc_scores(graph), score_col="lcc")
+        for measure, scores in labeled.items():
+            asc = MEASURE_ASCENDING[measure]
+            ranked = rank_values(scores, score_col=measure, ascending=asc)
+            curve = topk_curve(
+                ranked.assign(is_homograph=ranked.label.isin(homs)),
+                score_col=measure,
+                ascending=asc,
+            )
+            metrics_at_k(curve, len(homs))
+            best_f1(curve)
+            hits_in_topk(curve, len(homs), homs)
+
+    assert jobs_in_group("driver-layers", driver_layers) == 0
+    # The guard sees jobs when there are some.
+    assert jobs_in_group("control", lambda: spark.range(3).count()) >= 1
 
 
 @pytest.fixture(scope="module")
@@ -52,10 +142,8 @@ def sb_small(spark):
 def sb_bc_curve(spark, sb_small):
     _, ranked = rank_homographs(spark, sb_small.cells, measure="bc")
     homs = set(sb_small.homographs)
-    scored = ranked.withColumn(
-        "is_homograph", ranked.label.isin(list(homs))
-    )
-    return topk_curve(scored, score_col="bc").cache()
+    scored = ranked.assign(is_homograph=ranked.label.isin(homs))
+    return topk_curve(scored, score_col="bc")
 
 
 def test_sb_bc_finds_most_homographs(sb_bc_curve):
@@ -69,7 +157,7 @@ def test_sb_bc_beats_lcc(spark, sb_small, sb_bc_curve):
     _, lcc_ranked = rank_homographs(spark, sb_small.cells, measure="lcc")
     homs = set(sb_small.homographs)
     lcc_curve = topk_curve(
-        lcc_ranked.withColumn("is_homograph", lcc_ranked.label.isin(list(homs))),
+        lcc_ranked.assign(is_homograph=lcc_ranked.label.isin(homs)),
         score_col="lcc",
         ascending=True,
     )
@@ -84,7 +172,7 @@ def test_sampled_bc_close_to_exact_on_sb(spark, sb_small, sb_bc_curve):
     )
     homs = set(sb_small.homographs)
     curve = topk_curve(
-        sampled.withColumn("is_homograph", sampled.label.isin(list(homs))),
+        sampled.assign(is_homograph=sampled.label.isin(homs)),
         score_col="bc",
     )
     exact_p = metrics_at_k(sb_bc_curve, 55)["precision"]
