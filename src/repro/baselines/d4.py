@@ -17,9 +17,9 @@ mechanisms the paper's comparison exercises (DESIGN.md substitution 6):
 3. **Expansion**: values occurring nowhere else join the column's
    dominant local domain (D4's signature-based expansion analogue).
 4. **Strong domains**: local domains are merged across columns when
-   their value sets agree (Jaccard ≥ ``merge_threshold``); merged groups
-   need support from ≥ ``min_support`` columns and internal agreement
-   (mean pairwise Jaccard ≥ ``robustness``) to survive. Columns of
+   their value sets agree (Jaccard ≥ :data:`MERGE_THRESHOLD`); merged groups
+   need support from ≥ :data:`MIN_SUPPORT` columns and internal agreement
+   (mean pairwise Jaccard ≥ :data:`ROBUSTNESS`) to survive. Columns of
    large open vocabularies rarely agree → D4's coverage gap.
 
 Homograph detection à la the paper: a value assigned to ≥2 strong
@@ -27,19 +27,30 @@ domains is reported as a homograph.
 """
 from __future__ import annotations
 
+import re
 from dataclasses import dataclass, field
 from itertools import combinations
 
 import numpy as np
 import pandas as pd
-from pyspark.sql import DataFrame, SparkSession
-from pyspark.sql import functions as F
+from pyspark.sql import DataFrame
 
-from repro.core.graph import incidences
+from repro.core.graph import build_graph
 from repro.core.normalize import ATTR_COL, VALUE_COL
 from repro.graph.unionfind import UnionFind
 
-_NUMERIC_RE = r"^[0-9.,\-+ %$]*[0-9][0-9.,\-+ %$]*$"
+_NUMERIC_RE = re.compile(r"^[0-9.,\-+ %$]*[0-9][0-9.,\-+ %$]*$")
+#: D4-lite's one setting. A column is a string column when less than
+#: ``NUMERIC_CUTOFF`` of its values look numeric; a column's signature
+#: classes join one local domain at Jaccard ≥ ``SIG_THRESHOLD``; the
+#: strong-domain thresholds are described above; ``SEED`` seeds the
+#: robustness check's pair sample.
+NUMERIC_CUTOFF = 0.5
+SIG_THRESHOLD = 0.4
+MERGE_THRESHOLD = 0.5
+MIN_SUPPORT = 2
+ROBUSTNESS = 0.25
+SEED = 0
 
 
 @dataclass(frozen=True)
@@ -79,42 +90,33 @@ class D4Result:
         return int(per_col.max()), float(per_col.mean())
 
 
-def discover_domains(
-    spark: SparkSession,
-    cells: DataFrame,
-    *,
-    merge_threshold: float = 0.5,
-    min_support: int = 2,
-    robustness: float = 0.25,
-    numeric_cutoff: float = 0.5,
-    seed: int = 0,
-) -> D4Result:
-    """Run D4-lite over a lake. Spark computes the incidences and the
-    numeric-column filter; component formation runs on the driver (the
-    original D4 is a single-node Java program)."""
-    inc = incidences(cells).cache()
-    col_kind = (
-        inc.groupBy(ATTR_COL)
-        .agg(
-            F.avg(F.col(VALUE_COL).rlike(_NUMERIC_RE).cast("double")).alias(
-                "numeric_frac"
-            )
-        )
-        .toPandas()
+def discover_domains(cells: DataFrame) -> D4Result:
+    """Run D4-lite over a lake.
+
+    Reads the lake's distinct incidences from the unpruned DomainNet
+    graph (Spark's only part); the numeric-column filter and component
+    formation run on the driver (the original D4 is a single-node Java
+    program). Values arrive trimmed, so ``re.fullmatch`` with
+    :data:`_NUMERIC_RE` classifies them as Spark's ``rlike`` would.
+    """
+    graph = build_graph(cells, prune_unique=False)
+    value_labels = graph.value_labels()
+    is_numeric = np.array(
+        [_NUMERIC_RE.fullmatch(v) is not None for v in value_labels], dtype=bool
     )
-    string_attrs = sorted(
-        col_kind.loc[col_kind["numeric_frac"] < numeric_cutoff, ATTR_COL]
+    col = graph.attr_id - graph.n_values
+    numeric_frac = np.bincount(
+        col, weights=is_numeric[graph.value_id], minlength=graph.n_attrs
+    ) / np.bincount(col, minlength=graph.n_attrs)
+    is_string = numeric_frac < NUMERIC_CUTOFF
+    string_attrs = list(graph.labels[graph.n_values :][is_string])
+    edge = is_string[col]
+    memb = pd.DataFrame(
+        {
+            ATTR_COL: graph.labels[graph.attr_id[edge]],
+            VALUE_COL: value_labels[graph.value_id[edge]],
+        }
     )
-    memb = (
-        inc.join(
-            spark.createDataFrame(
-                pd.DataFrame({ATTR_COL: string_attrs}), schema=f"{ATTR_COL} string"
-            ),
-            on=ATTR_COL,
-        )
-        .toPandas()
-    )
-    inc.unpersist()
 
     # value → frozenset of string columns containing it (its "context
     # signature" at column granularity — D4's equivalence classes).
@@ -126,12 +128,11 @@ def discover_domains(
     # --- step 2+3: local domains per column ---------------------------
     # Values of a column are first grouped into equivalence classes by
     # identical column-membership signature; classes are then clustered
-    # single-link by signature Jaccard ≥ sig_threshold (each class is
+    # single-link by signature Jaccard ≥ SIG_THRESHOLD (each class is
     # compared against the largest already-seen classes — D4's robust-
     # signature pruning analogue). A homograph whose signature mixes
     # foreign columns into the column's core fails the threshold and
     # splinters into its own local domain.
-    sig_threshold = 0.4
     local_domains: list[tuple[str, frozenset]] = []  # (attr, values)
     for attr in string_attrs:
         values = by_col.get(attr, [])
@@ -152,7 +153,7 @@ def discover_domains(
             uf.find(sig)
             for other in anchors[:30]:  # compare against dominant classes
                 inter = len(sig & other)
-                if inter and inter / len(sig | other) >= sig_threshold:
+                if inter and inter / len(sig | other) >= SIG_THRESHOLD:
                     uf.union(sig, other)
             anchors.append(sig)
         comp_vals = [
@@ -181,19 +182,19 @@ def discover_domains(
     for i, j in pairs:
         a, b = local_domains[i][1], local_domains[j][1]
         inter = len(a & b)
-        if inter and inter / (len(a) + len(b) - inter) >= merge_threshold:
+        if inter and inter / (len(a) + len(b) - inter) >= MERGE_THRESHOLD:
             uf.union(i, j)
 
-    rng = np.random.default_rng(seed)
+    rng = np.random.default_rng(SEED)
     domains: dict[int, frozenset] = {}
     assign_rows = []
     next_id = 0
     for members in uf.groups(range(len(local_domains))).values():
         attrs = {local_domains[i][0] for i in members}
-        if len(attrs) < min_support:
+        if len(attrs) < MIN_SUPPORT:
             continue
         sets = [local_domains[i][1] for i in members]
-        if len(sets) > 1 and robustness > 0:
+        if len(sets) > 1:
             cand = list(combinations(range(len(sets)), 2))
             if len(cand) > 200:
                 idx = rng.choice(len(cand), size=200, replace=False)
@@ -201,7 +202,7 @@ def discover_domains(
             jac = [
                 len(sets[i] & sets[j]) / len(sets[i] | sets[j]) for i, j in cand
             ]
-            if float(np.mean(jac)) < robustness:
+            if float(np.mean(jac)) < ROBUSTNESS:
                 continue
         domain_vals = frozenset().union(*sets)
         domains[next_id] = domain_vals

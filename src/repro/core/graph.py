@@ -9,22 +9,22 @@ graph itself lives on the driver as numpy arrays:
 
 - ``labels``: node labels indexed by node id. Value nodes take ids
   ``[0, n_values)``, attribute nodes ``[n_values, n_values + n_attrs)``;
-  within each side ids follow label order (code-point order, which is
-  also Spark's UTF-8 byte order), so they are dense and deterministic.
+  within each side ids follow label order (code-point order), so they
+  are dense and do not depend on Spark's row order.
 - ``value_id`` / ``attr_id``: one entry per distinct (value, attribute)
   incidence, sorted by ``(value_id, attr_id)``.
 
 Paper §5 pre-processing: values occurring in a single attribute cannot be
-homographs; ``prune_unique=True`` (default) removes them, shrinking the
-graph (≈3% of nodes on TUS, ≈30% on SB per the paper).
+homographs; ``prune_unique=True`` (default) removes them after the
+collect, shrinking the graph (≈3% of nodes on TUS, ≈30% on SB per the
+paper).
 """
 from __future__ import annotations
 
 from dataclasses import dataclass
 
 import numpy as np
-from pyspark.sql import DataFrame, Window
-from pyspark.sql import functions as F
+from pyspark.sql import DataFrame
 
 from repro.core.normalize import ATTR_COL, VALUE_COL, normalize_cells
 
@@ -71,29 +71,28 @@ def incidences(cells: DataFrame) -> DataFrame:
 def build_graph(cells: DataFrame, *, prune_unique: bool = True) -> BipartiteGraph:
     """Construct the DomainNet bipartite graph from a cells relation.
 
-    ``prune_unique`` drops value nodes whose degree is 1 (they cannot be
-    homographs — paper §5). Attribute nodes are kept even if all their
-    values were pruned, mirroring the paper's attribute-node universe
-    (so attribute ids are stable across prune settings of one lake).
+    Spark computes the lake's distinct incidences; ids, pruning and the
+    edge order are worked out on the driver. ``prune_unique`` drops value
+    nodes whose degree is 1 (they cannot be homographs — paper §5).
+    Attribute nodes are kept even if all their values were pruned,
+    mirroring the paper's attribute-node universe (so attribute ids are
+    stable across prune settings of one lake).
     """
-    inc = incidences(cells)
+    pdf = incidences(cells).toPandas()
+    value_labels, value_id = np.unique(
+        pdf[VALUE_COL].to_numpy(dtype=object), return_inverse=True
+    )
+    attr_labels, attr_id = np.unique(
+        pdf[ATTR_COL].to_numpy(dtype=object), return_inverse=True
+    )
     if prune_unique:
-        # A pruned value becomes NULL; ``distinct`` then keeps one
-        # ``(attr, NULL)`` row per attribute that lost values, which
-        # carries the attribute into the universe without an edge.
-        deg = F.count("*").over(Window.partitionBy(VALUE_COL))
-        inc = inc.select(
-            ATTR_COL, F.when(deg >= 2, F.col(VALUE_COL)).alias(VALUE_COL)
-        ).distinct()
-    pdf = inc.toPandas()
-
-    attrs = pdf[ATTR_COL].to_numpy(dtype=object)
-    values = pdf[VALUE_COL].to_numpy(dtype=object)
-    is_edge = pdf[VALUE_COL].notna().to_numpy()
-    value_labels, value_id = np.unique(values[is_edge], return_inverse=True)
-    attr_labels, attr_inv = np.unique(attrs, return_inverse=True)
+        keep = np.bincount(value_id, minlength=len(value_labels)) >= 2
+        is_edge = keep[value_id]
+        value_labels = value_labels[keep]
+        value_id = (np.cumsum(keep) - 1)[value_id[is_edge]]
+        attr_id = attr_id[is_edge]
     n_values = len(value_labels)
-    attr_id = attr_inv[is_edge] + n_values
+    attr_id = attr_id + n_values
     order = np.lexsort((attr_id, value_id))
     return BipartiteGraph(
         labels=np.concatenate([value_labels, attr_labels]),

@@ -4,9 +4,9 @@
 (2) compute a centrality measure for every value node,
 (3) rank values in the measure's homograph direction.
 
-``measure="bc"`` is betweenness centrality (exact when
-``n_samples=None``, source-sampled otherwise); ``measure="lcc"`` is the
-bipartite local clustering coefficient.
+Measure ``"bc"`` is betweenness centrality (exact when
+``n_samples=None``, source-sampled otherwise); ``"lcc"`` is the
+bipartite local clustering coefficient. One graph serves every measure.
 
 Spark runs only step (1)'s reduction of the lake to its incidences and
 the BC fan-out; the graph, LCC and the ranking live on the driver.
@@ -45,21 +45,25 @@ def rank_homographs(
     spark: SparkSession,
     cells: DataFrame,
     *,
-    measure: str = "bc",
+    measures: tuple[str, ...] = ("bc",),
     n_samples: int | None = None,
     seed: int = 0,
     prune_unique: bool = True,
-) -> tuple[BipartiteGraph, pd.DataFrame]:
+) -> tuple[BipartiteGraph, dict[str, pd.DataFrame]]:
     """Full pipeline: lake cells → ranked homograph candidates.
 
-    Returns the graph and a ``(label, <measure>, rank)`` pandas frame in
-    rank order, rank 1 = strongest homograph candidate.
+    Builds the graph once and ranks its values by every measure in
+    ``measures``. Returns the graph and, per measure, a ``(label,
+    <measure>, rank)`` pandas frame in rank order, rank 1 = strongest
+    homograph candidate.
     """
     graph = build_graph(cells, prune_unique=prune_unique)
-    labeled = value_scores(
-        spark, graph, measure=measure, n_samples=n_samples, seed=seed
-    )
-    ranked = rank_values(
-        labeled, score_col=measure, ascending=MEASURE_ASCENDING[measure]
-    )
+    ranked = {}
+    for measure in measures:
+        labeled = value_scores(
+            spark, graph, measure=measure, n_samples=n_samples, seed=seed
+        )
+        ranked[measure] = rank_values(
+            labeled, score_col=measure, ascending=MEASURE_ASCENDING[measure]
+        )
     return graph, ranked

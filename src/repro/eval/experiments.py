@@ -23,7 +23,7 @@ from repro.core.betweenness import (
 )
 from repro.core.graph import build_graph
 from repro.core.pipeline import rank_homographs
-from repro.core.ranking import attach_labels
+from repro.core.ranking import MEASURE_ASCENDING, attach_labels, rank_values
 from repro.eval.metrics import best_f1, hits_in_topk, metrics_at_k, topk_curve
 from repro.graph.csr import csr_from_edges
 from repro.lakes.datalake import lake_stats
@@ -78,19 +78,13 @@ def sb_top55(
     k = len(homs)
     out: dict = {"k": k}
 
-    for measure in ("bc", "lcc"):
-        _, ranked = rank_homographs(
-            spark, sb.cells, measure=measure,
-            n_samples=n_samples if measure == "bc" else None, seed=seed,
-        )
-        curve = topk_curve(
-            ranked.assign(is_homograph=ranked.label.isin(homs)),
-            score_col=measure,
-            ascending=(measure == "lcc"),
-        )
-        out[measure] = metrics_at_k(curve, k)
+    _, ranked = rank_homographs(
+        spark, sb.cells, measures=("bc", "lcc"), n_samples=n_samples, seed=seed
+    )
+    for measure, r in ranked.items():
+        out[measure] = metrics_at_k(topk_curve(r, homs), k)
 
-    res = discover_domains(spark, sb.cells)
+    res = discover_domains(sb.cells)
     detected = set(res.homographs())
     tp = len(detected & homs)
     out["d4"] = {
@@ -122,13 +116,8 @@ def _injection_run(
         spark, clean_cells, col_domains, n=n, meanings=meanings,
         min_cardinality=min_cardinality, seed=seed,
     )
-    _, ranked = rank_homographs(
-        spark, inj.cells, measure="bc", n_samples=n_samples, seed=seed
-    )
-    curve = topk_curve(
-        ranked.assign(is_homograph=ranked.label.isin(inj.injected)),
-        score_col="bc",
-    )
+    _, ranked = rank_homographs(spark, inj.cells, n_samples=n_samples, seed=seed)
+    curve = topk_curve(ranked["bc"], inj.injected)
     return hits_in_topk(curve, n, inj.injected) / n
 
 
@@ -205,12 +194,8 @@ def tus_topk(
     """Top-k precision/recall/F1 on TUS-lite with its natural homographs."""
     lake = tus_lake(spark, sf=sf, seed=seed)
     homs = _homograph_labels(spark, lake)
-    _, ranked = rank_homographs(
-        spark, lake.cells, measure="bc", n_samples=n_samples, seed=seed
-    )
-    curve = topk_curve(
-        ranked.assign(is_homograph=ranked.label.isin(homs)), score_col="bc"
-    )
+    _, ranked = rank_homographs(spark, lake.cells, n_samples=n_samples, seed=seed)
+    curve = topk_curve(ranked["bc"], homs)
     n_hom = len(homs)
     out = {
         "n_homographs": n_hom,
@@ -254,10 +239,11 @@ def scalability_samples(
         s = min(s, csr.n)
         t0 = time.perf_counter()
         scores = betweenness_spark(spark, csr, n_samples=s, seed=seed)
-        labeled = attach_labels(graph, scores, score_col="bc")
-        curve = topk_curve(
-            labeled.assign(is_homograph=labeled.label.isin(homs)), score_col="bc"
+        ranked = rank_values(
+            attach_labels(graph, scores, score_col="bc"),
+            score_col="bc", ascending=MEASURE_ASCENDING["bc"],
         )
+        curve = topk_curve(ranked, homs)
         prec = metrics_at_k(curve, n_hom)["precision"]
         dt = time.perf_counter() - t0
         rows.append((s, prec, dt))
@@ -322,14 +308,14 @@ def d4_impact(
             for n_inj in injections:
                 if n_inj == 0:
                     if base is None:
-                        base = discover_domains(spark, clean)
+                        base = discover_domains(clean)
                     res = base
                 else:
                     cells = inject_homographs(
                         spark, clean, cd, n=n_inj, meanings=m,
                         min_cardinality=0, seed=seed + n_inj + m,
                     ).cells
-                    res = discover_domains(spark, cells)
+                    res = discover_domains(cells)
                 mx, avg = res.domains_per_column()
                 rows.append((m, n_inj, res.n_domains, mx, avg))
                 print(

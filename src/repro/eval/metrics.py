@@ -4,41 +4,34 @@ Precision / recall / F1 of the k top-ranked homograph candidates, and the
 full top-k curve of Figure 7. A ranking has one row per value node of the
 graph, so it is driver-sized and these run in pandas.
 """
-from typing import Iterable
+from typing import Collection, Iterable
 
 import numpy as np
 import pandas as pd
 
 
-def topk_curve(
-    scored: pd.DataFrame,
-    *,
-    score_col: str,
-    label_col: str = "label",
-    truth_col: str = "is_homograph",
-    ascending: bool = False,
-) -> pd.DataFrame:
+def topk_curve(ranked: pd.DataFrame, homographs: Collection[str]) -> pd.DataFrame:
     """Cumulative precision/recall/F1 at every rank.
 
-    ``scored`` must have one row per candidate value with its score and a
-    boolean ground-truth column. Ties are broken deterministically by
-    label. Returns ``(rank, label, score, is_homograph, tp, precision,
-    recall, f1)`` ordered by rank.
+    ``ranked`` has one row per candidate value in rank order, as
+    :func:`repro.core.ranking.rank_values` returns it, with a ``label``
+    column; ``homographs`` holds the true homograph labels. Recall is
+    relative to the homographs among the candidates. Returns ``ranked``
+    with ``rank``, ``is_homograph``, ``tp``, ``precision``, ``recall``
+    and ``f1`` columns.
     """
-    curve = scored.sort_values(
-        [score_col, label_col], ascending=[ascending, True], kind="stable"
-    )[[label_col, score_col, truth_col]].reset_index(drop=True)
-    truth = curve[truth_col].to_numpy(dtype=bool)
-    rank = np.arange(1, len(curve) + 1, dtype=np.int64)
+    truth = ranked["label"].isin(homographs).to_numpy(dtype=bool)
+    rank = np.arange(1, len(ranked) + 1, dtype=np.int64)
     tp = np.cumsum(truth, dtype=np.int64)
     precision = tp / rank
     recall = tp / max(int(truth.sum()), 1)
     denom = precision + recall
     f1 = np.divide(
-        2 * precision * recall, denom, out=np.zeros(len(curve)), where=denom > 0
+        2 * precision * recall, denom, out=np.zeros(len(ranked)), where=denom > 0
     )
-    curve.insert(0, "rank", rank)
-    return curve.assign(tp=tp, precision=precision, recall=recall, f1=f1)
+    return ranked.reset_index(drop=True).assign(
+        rank=rank, is_homograph=truth, tp=tp, precision=precision, recall=recall, f1=f1
+    )
 
 
 def metrics_at_k(curve: pd.DataFrame, k: int) -> dict:

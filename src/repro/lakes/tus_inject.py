@@ -87,8 +87,10 @@ def inject_homographs(
         .toPandas()
     )
     rng = np.random.default_rng(seed)
+    # Pools are sorted before the shuffle: the collected rows come in
+    # Spark's order, which changes with the shuffle partition count.
     pools = {
-        d: list(rng.permutation(g[VALUE_COL].unique()))
+        d: list(rng.permutation(np.sort(g[VALUE_COL].unique())))
         for d, g in eligible.groupby("domain")
     }
     used: set[str] = set()

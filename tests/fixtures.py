@@ -4,7 +4,10 @@
 zoos, car imports, corporate sales); ``EXAMPLE31_TABLES`` restricts to
 the four attributes of Example 3.1 (T2.name, T1.At Risk, T4.Name,
 T3.C2), the subgraph on which the paper quotes exact LCC scores.
+``shuffle_partitions`` and ``spark_jobs_run`` help tests that check row-
+order independence and which layers start Spark jobs.
 """
+from contextlib import contextmanager
 
 #: full Figure 1 lake: {table: {column: [values]}}.
 FIGURE1_TABLES = {
@@ -46,3 +49,29 @@ EXAMPLE36_LCC = {
     "TOYOTA": (0.5 + 1 / 3 + 0.5 + 0.5) / 4,  # 0.458…
     "PANDA": (0.5 + 0.5 + 1 / 3 + 0.5) / 4,  # 0.458…
 }
+
+
+@contextmanager
+def shuffle_partitions(spark, n: int):
+    """Run the block with ``spark.sql.shuffle.partitions`` set to ``n``,
+    which changes the row order of every shuffled result."""
+    key = "spark.sql.shuffle.partitions"
+    saved = spark.conf.get(key)
+    spark.conf.set(key, str(n))
+    try:
+        yield
+    finally:
+        spark.conf.set(key, saved)
+
+
+def spark_jobs_run(spark, group: str, work) -> int:
+    """Number of Spark jobs ``work()`` starts, counted in a job group."""
+    sc = spark.sparkContext
+    sc.setJobGroup(group, group)
+    try:
+        work()
+    finally:
+        sc.setLocalProperty("spark.jobGroup.id", None)
+        sc.setLocalProperty("spark.job.description", None)
+    sc._jsc.sc().listenerBus().waitUntilEmpty(30_000)
+    return len(sc.statusTracker().getJobIdsForGroup(group))

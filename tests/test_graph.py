@@ -5,6 +5,7 @@ import pytest
 
 from repro.core.graph import build_graph, incidences
 from repro.lakes.datalake import lake_from_tables
+from repro.lakes.sb import sb_lake
 from repro.oracle import assert_equivalent
 from tests.fixtures import EXAMPLE31_TABLES, FIGURE1_TABLES
 
@@ -111,6 +112,36 @@ def test_prune_unique_keeps_only_multi_attribute_values(spark, fig1):
     assert (pruned.value_degrees() >= 2).all()
     full = build_graph(fig1, prune_unique=False)
     assert list(pruned.labels[pruned.n_values :]) == list(full.labels[full.n_values :])
+
+
+def test_pruned_graph_oracle_sb(spark):
+    cells = sb_lake(spark, scale=0.1, seed=5).cells
+    graph = build_graph(cells)
+    incidences_sql = """
+        SELECT DISTINCT table_id || '.' || col_id AS attr,
+               UPPER(TRIM(value)) AS value
+        FROM cells
+        WHERE value IS NOT NULL AND TRIM(value) <> ''
+    """
+    cells_pdf = cells.toPandas()
+    assert sorted(set(graph.value_id)) == list(range(graph.n_values))
+    assert_equivalent(
+        pd.DataFrame(
+            {"attr": graph.labels[graph.attr_id], "value": graph.labels[graph.value_id]}
+        ),
+        f"""
+        WITH inc AS ({incidences_sql})
+        SELECT attr, value FROM inc WHERE value IN (
+            SELECT value FROM inc GROUP BY value HAVING COUNT(DISTINCT attr) >= 2
+        )
+        """,
+        cells=cells_pdf,
+    )
+    assert_equivalent(
+        pd.DataFrame({"attr": graph.labels[graph.n_values :]}),
+        f"SELECT DISTINCT attr FROM ({incidences_sql})",
+        cells=cells_pdf,
+    )
 
 
 def test_prune_false_keeps_all(spark, fig1):

@@ -2,8 +2,10 @@
 running example, degenerate lakes and a small SB instance — the
 integration layer."""
 import numpy as np
+import pandas as pd
 import pytest
 
+from repro.core import pipeline
 from repro.core.pipeline import rank_homographs, value_scores
 from repro.core.graph import build_graph
 from repro.core.lcc import lcc_scores
@@ -11,24 +13,21 @@ from repro.core.ranking import MEASURE_ASCENDING, attach_labels, rank_values
 from repro.eval.metrics import best_f1, hits_in_topk, metrics_at_k, topk_curve
 from repro.lakes.datalake import lake_from_tables
 from repro.lakes.sb import sb_lake
-from tests.fixtures import EXAMPLE31_TABLES, FIGURE1_TABLES
+from tests.fixtures import EXAMPLE31_TABLES, FIGURE1_TABLES, spark_jobs_run
 
 
 def test_figure1_bc_ranks_jaguar_first(spark):
     lake = lake_from_tables(spark, EXAMPLE31_TABLES)
-    _, ranked = rank_homographs(
-        spark, lake, measure="bc", prune_unique=False
-    )
+    _, ranked = rank_homographs(spark, lake, prune_unique=False)
+    ranked = ranked["bc"]
     assert list(ranked.label[:2]) == ["JAGUAR", "PUMA"]
     assert list(ranked["rank"]) == list(range(1, len(ranked) + 1))
 
 
 def test_figure1_lcc_ranks_jaguar_first(spark):
     lake = lake_from_tables(spark, EXAMPLE31_TABLES)
-    _, ranked = rank_homographs(
-        spark, lake, measure="lcc", prune_unique=False
-    )
-    assert ranked.label.iloc[0] == "JAGUAR"
+    _, ranked = rank_homographs(spark, lake, measures=("lcc",), prune_unique=False)
+    assert ranked["lcc"].label.iloc[0] == "JAGUAR"
 
 
 def test_unknown_measure_raises(spark):
@@ -40,10 +39,10 @@ def test_unknown_measure_raises(spark):
 
 def test_prune_shrinks_candidates(spark):
     lake = lake_from_tables(spark, EXAMPLE31_TABLES)
-    g_full, _ = rank_homographs(spark, lake, measure="bc", prune_unique=False)
-    g_pruned, ranked = rank_homographs(spark, lake, measure="bc", prune_unique=True)
+    g_full, _ = rank_homographs(spark, lake, prune_unique=False)
+    g_pruned, ranked = rank_homographs(spark, lake, prune_unique=True)
     assert g_pruned.n_values < g_full.n_values
-    assert len(ranked) == g_pruned.n_values
+    assert len(ranked["bc"]) == g_pruned.n_values
 
 
 #: (lake, prune_unique, n_values, n_attrs, expected ranking per measure)
@@ -77,7 +76,10 @@ DEGENERATE_LAKES = {
 def test_degenerate_lakes_rank(spark, name, measure):
     tables, prune, n_values, n_attrs, expected = DEGENERATE_LAKES[name]
     lake = lake_from_tables(spark, tables)
-    graph, ranked = rank_homographs(spark, lake, measure=measure, prune_unique=prune)
+    graph, ranked = rank_homographs(
+        spark, lake, measures=(measure,), prune_unique=prune
+    )
+    ranked = ranked[measure]
     assert (graph.n_values, graph.n_attrs) == (n_values, n_attrs)
     assert list(ranked.columns) == ["label", measure, "rank"]
     assert list(ranked.label) == expected[measure]
@@ -89,48 +91,48 @@ def test_degenerate_lakes_rank(spark, name, measure):
             assert got == pytest.approx({"A": 2 / 3, "B": 2 / 3, "P": 1.0, "Q": 1.0})
         else:
             assert got["B"] == got["P"] == got["Q"] == pytest.approx(got["A"] / 7)
-    curve = topk_curve(
-        ranked.assign(is_homograph=ranked.label == "A"),
-        score_col=measure,
-        ascending=MEASURE_ASCENDING[measure],
-    )
+    curve = topk_curve(ranked, {"A"})
     assert metrics_at_k(curve, 1)["tp"] == int("A" in expected[measure])
 
 
 def test_driver_layers_run_no_spark_jobs(spark):
     """LCC, ranking and the metrics run on the driver: zero Spark jobs."""
-    sc = spark.sparkContext
     graph = build_graph(lake_from_tables(spark, FIGURE1_TABLES))
     labeled = {"bc": value_scores(spark, graph, measure="bc")}
     homs = {"JAGUAR", "PUMA"}
-
-    def jobs_in_group(group, work):
-        sc.setJobGroup(group, group)
-        try:
-            work()
-        finally:
-            sc.setLocalProperty("spark.jobGroup.id", None)
-            sc.setLocalProperty("spark.job.description", None)
-        sc._jsc.sc().listenerBus().waitUntilEmpty(30_000)
-        return len(sc.statusTracker().getJobIdsForGroup(group))
 
     def driver_layers():
         labeled["lcc"] = attach_labels(graph, lcc_scores(graph), score_col="lcc")
         for measure, scores in labeled.items():
             asc = MEASURE_ASCENDING[measure]
             ranked = rank_values(scores, score_col=measure, ascending=asc)
-            curve = topk_curve(
-                ranked.assign(is_homograph=ranked.label.isin(homs)),
-                score_col=measure,
-                ascending=asc,
-            )
+            curve = topk_curve(ranked, homs)
             metrics_at_k(curve, len(homs))
             best_f1(curve)
             hits_in_topk(curve, len(homs), homs)
 
-    assert jobs_in_group("driver-layers", driver_layers) == 0
+    assert spark_jobs_run(spark, "driver-layers", driver_layers) == 0
     # The guard sees jobs when there are some.
-    assert jobs_in_group("control", lambda: spark.range(3).count()) >= 1
+    assert spark_jobs_run(spark, "control", lambda: spark.range(3).count()) >= 1
+
+
+def test_measures_share_one_graph(spark, monkeypatch):
+    lake = lake_from_tables(spark, FIGURE1_TABLES)
+    single = {
+        m: rank_homographs(spark, lake, measures=(m,))[1][m] for m in ("bc", "lcc")
+    }
+    builds = []
+
+    def counting_build(*args, **kwargs):
+        builds.append(1)
+        return build_graph(*args, **kwargs)
+
+    monkeypatch.setattr(pipeline, "build_graph", counting_build)
+    _, both = rank_homographs(spark, lake, measures=("bc", "lcc"))
+    assert len(builds) == 1
+    assert list(both) == ["bc", "lcc"]
+    for m in ("bc", "lcc"):
+        pd.testing.assert_frame_equal(both[m], single[m])
 
 
 @pytest.fixture(scope="module")
@@ -140,10 +142,8 @@ def sb_small(spark):
 
 @pytest.fixture(scope="module")
 def sb_bc_curve(spark, sb_small):
-    _, ranked = rank_homographs(spark, sb_small.cells, measure="bc")
-    homs = set(sb_small.homographs)
-    scored = ranked.assign(is_homograph=ranked.label.isin(homs))
-    return topk_curve(scored, score_col="bc")
+    _, ranked = rank_homographs(spark, sb_small.cells)
+    return topk_curve(ranked["bc"], set(sb_small.homographs))
 
 
 def test_sb_bc_finds_most_homographs(sb_bc_curve):
@@ -154,27 +154,16 @@ def test_sb_bc_finds_most_homographs(sb_bc_curve):
 
 
 def test_sb_bc_beats_lcc(spark, sb_small, sb_bc_curve):
-    _, lcc_ranked = rank_homographs(spark, sb_small.cells, measure="lcc")
-    homs = set(sb_small.homographs)
-    lcc_curve = topk_curve(
-        lcc_ranked.assign(is_homograph=lcc_ranked.label.isin(homs)),
-        score_col="lcc",
-        ascending=True,
-    )
+    _, lcc_ranked = rank_homographs(spark, sb_small.cells, measures=("lcc",))
+    lcc_curve = topk_curve(lcc_ranked["lcc"], set(sb_small.homographs))
     bc_m = metrics_at_k(sb_bc_curve, 55)
     lcc_m = metrics_at_k(lcc_curve, 55)
     assert bc_m["precision"] > lcc_m["precision"]
 
 
 def test_sampled_bc_close_to_exact_on_sb(spark, sb_small, sb_bc_curve):
-    _, sampled = rank_homographs(
-        spark, sb_small.cells, measure="bc", n_samples=800, seed=1
-    )
-    homs = set(sb_small.homographs)
-    curve = topk_curve(
-        sampled.assign(is_homograph=sampled.label.isin(homs)),
-        score_col="bc",
-    )
+    _, sampled = rank_homographs(spark, sb_small.cells, n_samples=800, seed=1)
+    curve = topk_curve(sampled["bc"], set(sb_small.homographs))
     exact_p = metrics_at_k(sb_bc_curve, 55)["precision"]
     approx_p = metrics_at_k(curve, 55)["precision"]
     assert approx_p >= exact_p - 0.25

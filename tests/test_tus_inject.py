@@ -1,4 +1,5 @@
 """Tests for homograph removal + injection (repro.lakes.tus_inject, §4.3)."""
+import pandas as pd
 import pytest
 from pyspark.sql import functions as F
 
@@ -7,6 +8,7 @@ from repro.core.normalize import ATTR_COL, VALUE_COL
 from repro.lakes.datalake import attribute_cardinalities
 from repro.lakes.tus import definition2_truth, tus_lake
 from repro.lakes.tus_inject import inject_homographs, remove_homographs
+from tests.fixtures import shuffle_partitions
 
 SF = 0.08
 
@@ -133,3 +135,15 @@ def test_deterministic_in_seed(spark, clean, col_domains):
     a = inject_homographs(spark, clean, col_domains, n=3, meanings=2, seed=9)
     b = inject_homographs(spark, clean, col_domains, n=3, meanings=2, seed=9)
     assert a.plan.equals(b.plan)
+
+
+def test_plan_independent_of_spark_row_order(spark, clean, col_domains):
+    plans = []
+    for n in (64, 8):
+        with shuffle_partitions(spark, n):
+            plans.append(
+                inject_homographs(
+                    spark, clean, col_domains, n=20, meanings=2, seed=10
+                ).plan
+            )
+    pd.testing.assert_frame_equal(plans[0], plans[1])
