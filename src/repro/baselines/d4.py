@@ -33,7 +33,6 @@ from itertools import combinations
 
 import numpy as np
 import pandas as pd
-from pyspark.sql import DataFrame
 
 from repro.core.graph import build_graph
 from repro.core.normalize import ATTR_COL, VALUE_COL
@@ -90,16 +89,17 @@ class D4Result:
         return int(per_col.max()), float(per_col.mean())
 
 
-def discover_domains(cells: DataFrame) -> D4Result:
-    """Run D4-lite over a lake.
+def discover_domains(inc: pd.DataFrame) -> D4Result:
+    """Run D4-lite over a lake's collected
+    :func:`~repro.core.graph.incidences`.
 
-    Reads the lake's distinct incidences from the unpruned DomainNet
-    graph (Spark's only part); the numeric-column filter and component
-    formation run on the driver (the original D4 is a single-node Java
-    program). Values arrive trimmed, so ``re.fullmatch`` with
-    :data:`_NUMERIC_RE` classifies them as Spark's ``rlike`` would.
+    Reads them through the unpruned DomainNet graph; the numeric-column
+    filter and component formation run on the driver (the original D4 is
+    a single-node Java program). Values arrive trimmed, so
+    ``re.fullmatch`` with :data:`_NUMERIC_RE` classifies them as Spark's
+    ``rlike`` would.
     """
-    graph = build_graph(cells, prune_unique=False)
+    graph = build_graph(inc, prune_unique=False)
     value_labels = graph.value_labels()
     is_numeric = np.array(
         [_NUMERIC_RE.fullmatch(v) is not None for v in value_labels], dtype=bool

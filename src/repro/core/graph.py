@@ -4,8 +4,9 @@ Nodes are data values and attributes; an edge ``(v, a)`` exists iff
 normalized value ``v`` occurs in attribute ``a``. Each distinct value is
 one node no matter how many attributes it occurs in.
 
-Spark reduces the lake to its distinct incidences in one query, and the
-graph itself lives on the driver as numpy arrays:
+Spark reduces the lake to its distinct incidences in one query and one
+collect (:func:`incidences`); the graph itself lives on the driver as
+numpy arrays:
 
 - ``labels``: node labels indexed by node id. Value nodes take ids
   ``[0, n_values)``, attribute nodes ``[n_values, n_values + n_attrs)``;
@@ -18,12 +19,16 @@ Paper §5 pre-processing: values occurring in a single attribute cannot be
 homographs; ``prune_unique=True`` (default) removes them after the
 collect, shrinking the graph (≈3% of nodes on TUS, ≈30% on SB per the
 paper).
+
+Everything downstream of :func:`incidences` — the graph, D4-lite and the
+TUS-I labeling, removal and injection — takes the collected frame.
 """
 from __future__ import annotations
 
 from dataclasses import dataclass
 
 import numpy as np
+import pandas as pd
 from pyspark.sql import DataFrame
 
 from repro.core.normalize import ATTR_COL, VALUE_COL, normalize_cells
@@ -63,27 +68,28 @@ class BipartiteGraph:
         return np.bincount(self.value_id, minlength=self.n_values)
 
 
-def incidences(cells: DataFrame) -> DataFrame:
-    """Distinct normalized ``(attr, value)`` incidences of a lake."""
-    return normalize_cells(cells).select(ATTR_COL, VALUE_COL).distinct()
+def incidences(cells: DataFrame) -> pd.DataFrame:
+    """Distinct normalized ``(attr, value)`` incidences of a lake, computed
+    in Spark and collected to the driver (rows in Spark's order)."""
+    return normalize_cells(cells).select(ATTR_COL, VALUE_COL).distinct().toPandas()
 
 
-def build_graph(cells: DataFrame, *, prune_unique: bool = True) -> BipartiteGraph:
-    """Construct the DomainNet bipartite graph from a cells relation.
+def build_graph(inc: pd.DataFrame, *, prune_unique: bool = True) -> BipartiteGraph:
+    """Construct the DomainNet bipartite graph from a lake's incidences.
 
-    Spark computes the lake's distinct incidences; ids, pruning and the
-    edge order are worked out on the driver. ``prune_unique`` drops value
-    nodes whose degree is 1 (they cannot be homographs — paper §5).
-    Attribute nodes are kept even if all their values were pruned,
-    mirroring the paper's attribute-node universe (so attribute ids are
-    stable across prune settings of one lake).
+    ``inc`` is the distinct ``(attr, value)`` frame of :func:`incidences`
+    (or one derived from it); ids, pruning and the edge order are worked
+    out here, on the driver. ``prune_unique`` drops value nodes whose
+    degree is 1 (they cannot be homographs — paper §5). Attribute nodes
+    are kept even if all their values were pruned, mirroring the paper's
+    attribute-node universe (so attribute ids are stable across prune
+    settings of one lake).
     """
-    pdf = incidences(cells).toPandas()
     value_labels, value_id = np.unique(
-        pdf[VALUE_COL].to_numpy(dtype=object), return_inverse=True
+        inc[VALUE_COL].to_numpy(dtype=object), return_inverse=True
     )
     attr_labels, attr_id = np.unique(
-        pdf[ATTR_COL].to_numpy(dtype=object), return_inverse=True
+        inc[ATTR_COL].to_numpy(dtype=object), return_inverse=True
     )
     if prune_unique:
         keep = np.bincount(value_id, minlength=len(value_labels)) >= 2

@@ -1,6 +1,6 @@
 """End-to-end DomainNet pipeline (paper Fig. 4).
 
-(1) construct the bipartite graph from a cells relation,
+(1) construct the bipartite graph from a lake's collected incidences,
 (2) compute a centrality measure for every value node,
 (3) rank values in the measure's homograph direction.
 
@@ -8,13 +8,14 @@ Measure ``"bc"`` is betweenness centrality (exact when
 ``n_samples=None``, source-sampled otherwise); ``"lcc"`` is the
 bipartite local clustering coefficient. One graph serves every measure.
 
-Spark runs only step (1)'s reduction of the lake to its incidences and
-the BC fan-out; the graph, LCC and the ranking live on the driver.
+Spark runs only the reduction of the lake to its incidences
+(:func:`repro.core.graph.incidences`, before this module) and the BC
+fan-out; the graph, LCC and the ranking live on the driver.
 """
 from __future__ import annotations
 
 import pandas as pd
-from pyspark.sql import DataFrame, SparkSession
+from pyspark.sql import SparkSession
 
 from repro.core.betweenness import betweenness_spark
 from repro.core.graph import BipartiteGraph, build_graph
@@ -43,21 +44,22 @@ def value_scores(
 
 def rank_homographs(
     spark: SparkSession,
-    cells: DataFrame,
+    inc: pd.DataFrame,
     *,
     measures: tuple[str, ...] = ("bc",),
     n_samples: int | None = None,
     seed: int = 0,
     prune_unique: bool = True,
 ) -> tuple[BipartiteGraph, dict[str, pd.DataFrame]]:
-    """Full pipeline: lake cells → ranked homograph candidates.
+    """Full pipeline: lake incidences → ranked homograph candidates.
 
+    ``inc`` is the lake's :func:`~repro.core.graph.incidences` frame.
     Builds the graph once and ranks its values by every measure in
     ``measures``. Returns the graph and, per measure, a ``(label,
     <measure>, rank)`` pandas frame in rank order, rank 1 = strongest
     homograph candidate.
     """
-    graph = build_graph(cells, prune_unique=prune_unique)
+    graph = build_graph(inc, prune_unique=prune_unique)
     ranked = {}
     for measure in measures:
         labeled = value_scores(

@@ -9,7 +9,6 @@ with the TUS-lite scale factor.
 from __future__ import annotations
 
 import time
-from contextlib import contextmanager
 
 import numpy as np
 import pandas as pd
@@ -21,7 +20,8 @@ from repro.core.betweenness import (
     brandes_dependencies,
     sample_sources,
 )
-from repro.core.graph import build_graph
+from repro.core.graph import build_graph, incidences
+from repro.core.normalize import ATTR_COL, VALUE_COL
 from repro.core.pipeline import rank_homographs
 from repro.core.ranking import MEASURE_ASCENDING, attach_labels, rank_values
 from repro.eval.metrics import best_f1, hits_in_topk, metrics_at_k, topk_curve
@@ -46,16 +46,15 @@ def table1_stats(
 
     tus = tus_lake(spark, sf=tus_sf, seed=seed)
     s = lake_stats(tus.cells)
-    n_hom = (
-        definition2_truth(spark, tus.cells, tus.column_domains(spark))
-        .where("is_homograph")
-        .count()
-    )
+    clean, truth = remove_homographs(tus)
+    n_hom = int(truth["is_homograph"].sum())
     rows.append(("TUS-lite", s["n_tables"], s["n_attrs"], s["n_values"], n_hom))
 
-    clean, _ = remove_homographs(spark, tus)
-    s = lake_stats(clean)
-    rows.append(("TUS-I (clean)", s["n_tables"], s["n_attrs"], s["n_values"], 0))
+    attrs = clean[ATTR_COL]
+    rows.append((
+        "TUS-I (clean)", attrs.str.split(".", n=1).str[0].nunique(),
+        attrs.nunique(), clean[VALUE_COL].nunique(), 0,
+    ))
 
     nyc = nyc_lake(spark, sf=nyc_sf, seed=seed)
     s = lake_stats(nyc.cells)
@@ -78,13 +77,14 @@ def sb_top55(
     k = len(homs)
     out: dict = {"k": k}
 
+    inc = incidences(sb.cells)
     _, ranked = rank_homographs(
-        spark, sb.cells, measures=("bc", "lcc"), n_samples=n_samples, seed=seed
+        spark, inc, measures=("bc", "lcc"), n_samples=n_samples, seed=seed
     )
     for measure, r in ranked.items():
         out[measure] = metrics_at_k(topk_curve(r, homs), k)
 
-    res = discover_domains(sb.cells)
+    res = discover_domains(inc)
     detected = set(res.homographs())
     tp = len(detected & homs)
     out["d4"] = {
@@ -108,33 +108,18 @@ def sb_top55(
 
 # ------------------------------------------------------ Tables 2 and 3
 def _injection_run(
-    spark, clean_cells, col_domains, *, n, meanings, min_cardinality,
-    n_samples, seed,
+    spark, clean, columns, *, n, meanings, min_cardinality, n_samples, seed,
 ) -> float:
     """One injection run → fraction of injected tokens in the top-n."""
     inj = inject_homographs(
-        spark, clean_cells, col_domains, n=n, meanings=meanings,
+        clean, columns, n=n, meanings=meanings,
         min_cardinality=min_cardinality, seed=seed,
     )
-    _, ranked = rank_homographs(spark, inj.cells, n_samples=n_samples, seed=seed)
+    _, ranked = rank_homographs(
+        spark, inj.incidences, n_samples=n_samples, seed=seed
+    )
     curve = topk_curve(ranked["bc"], inj.injected)
     return hits_in_topk(curve, n, inj.injected) / n
-
-
-@contextmanager
-def _clean_tus(spark, sf, seed):
-    """``(lake, clean cells, column domains)`` of a TUS-lite lake, the
-    two frames cached for the block and released after it."""
-    lake = tus_lake(spark, sf=sf, seed=seed)
-    clean, _ = remove_homographs(spark, lake)
-    clean = clean.cache()
-    cd = lake.column_domains(spark).cache()
-    try:
-        clean.count()
-        yield lake, clean, cd
-    finally:
-        clean.unpersist()
-        cd.unpersist()
 
 
 def table2_cardinality(
@@ -146,18 +131,20 @@ def table2_cardinality(
     vs the attribute-cardinality threshold of the replaced values.
     Thresholds are scaled by ``sf`` (column sizes scale with sf)."""
     rows = []
-    with _clean_tus(spark, sf, seed) as (_, clean, cd):
-        for thr in thresholds:
-            scaled = int(round(thr * sf))
-            hits = [
-                _injection_run(
-                    spark, clean, cd, n=n, meanings=2, min_cardinality=scaled,
-                    n_samples=n_samples, seed=seed * 1000 + thr + r,
-                )
-                for r in range(runs)
-            ]
-            rows.append((thr, scaled, 100 * float(np.mean(hits)), runs))
-            print(f"card ≥ {thr} (scaled {scaled}): {rows[-1][2]:.1f}% in top-{n}")
+    lake = tus_lake(spark, sf=sf, seed=seed)
+    clean, _ = remove_homographs(lake)
+    for thr in thresholds:
+        scaled = int(round(thr * sf))
+        hits = [
+            _injection_run(
+                spark, clean, lake.columns, n=n, meanings=2,
+                min_cardinality=scaled, n_samples=n_samples,
+                seed=seed * 1000 + thr + r,
+            )
+            for r in range(runs)
+        ]
+        rows.append((thr, scaled, 100 * float(np.mean(hits)), runs))
+        print(f"card ≥ {thr} (scaled {scaled}): {rows[-1][2]:.1f}% in top-{n}")
     return pd.DataFrame(
         rows, columns=["threshold", "scaled_threshold", "pct_in_topn", "runs"]
     )
@@ -172,17 +159,19 @@ def table3_meanings(
     with replaced values from attributes of cardinality ≥ 500·sf."""
     scaled = int(round(min_cardinality * sf))
     rows = []
-    with _clean_tus(spark, sf, seed) as (_, clean, cd):
-        for m in meanings:
-            hits = [
-                _injection_run(
-                    spark, clean, cd, n=n, meanings=m, min_cardinality=scaled,
-                    n_samples=n_samples, seed=seed * 1000 + 37 * m + r,
-                )
-                for r in range(runs)
-            ]
-            rows.append((m, 100 * float(np.mean(hits)), runs))
-            print(f"meanings = {m}: {rows[-1][1]:.1f}% in top-{n}")
+    lake = tus_lake(spark, sf=sf, seed=seed)
+    clean, _ = remove_homographs(lake)
+    for m in meanings:
+        hits = [
+            _injection_run(
+                spark, clean, lake.columns, n=n, meanings=m,
+                min_cardinality=scaled, n_samples=n_samples,
+                seed=seed * 1000 + 37 * m + r,
+            )
+            for r in range(runs)
+        ]
+        rows.append((m, 100 * float(np.mean(hits)), runs))
+        print(f"meanings = {m}: {rows[-1][1]:.1f}% in top-{n}")
     return pd.DataFrame(rows, columns=["meanings", "pct_in_topn", "runs"])
 
 
@@ -193,8 +182,9 @@ def tus_topk(
 ) -> dict:
     """Top-k precision/recall/F1 on TUS-lite with its natural homographs."""
     lake = tus_lake(spark, sf=sf, seed=seed)
-    homs = _homograph_labels(spark, lake)
-    _, ranked = rank_homographs(spark, lake.cells, n_samples=n_samples, seed=seed)
+    inc = incidences(lake.cells)
+    homs = _homograph_labels(inc, lake.columns)
+    _, ranked = rank_homographs(spark, inc, n_samples=n_samples, seed=seed)
     curve = topk_curve(ranked["bc"], homs)
     n_hom = len(homs)
     out = {
@@ -217,10 +207,10 @@ def tus_topk(
     return out
 
 
-def _homograph_labels(spark, lake) -> set:
-    """Labels of the lake's Definition-2 homographs."""
-    truth = definition2_truth(spark, lake.cells, lake.column_domains(spark))
-    return set(truth.where("is_homograph").select("label").toPandas()["label"])
+def _homograph_labels(inc, columns) -> set:
+    """Labels of the Definition-2 homographs among incidences ``inc``."""
+    truth = definition2_truth(inc, columns)
+    return set(truth.loc[truth["is_homograph"], "label"])
 
 
 # -------------------------------------------- §5.4: scalability (Figs 8–9)
@@ -230,9 +220,10 @@ def scalability_samples(
 ) -> pd.DataFrame:
     """Precision@#homographs and wall-clock vs BC sample count (Fig. 8)."""
     lake = tus_lake(spark, sf=sf, seed=seed)
-    homs = _homograph_labels(spark, lake)
+    inc = incidences(lake.cells)
+    homs = _homograph_labels(inc, lake.columns)
     n_hom = len(homs)
-    graph = build_graph(lake.cells, prune_unique=True)
+    graph = build_graph(inc, prune_unique=True)
     csr = csr_from_edges(graph)
     rows = []
     for s in sample_sizes:
@@ -260,7 +251,7 @@ def scalability_subgraphs(
     also reports the Spark graph-construction time (§5.4)."""
     lake = nyc_lake(spark, sf=sf, seed=seed)
     t0 = time.perf_counter()
-    graph = build_graph(lake.cells, prune_unique=True)
+    graph = build_graph(incidences(lake.cells), prune_unique=True)
     build_s = time.perf_counter() - t0
     print(
         f"graph: {graph.n_nodes} nodes, {graph.n_edges} edges, "
@@ -302,26 +293,27 @@ def d4_impact(
     increase (Fig. 10)."""
     rows = []
     base = None  # the 0-injection run is shared across meaning settings
-    with _clean_tus(spark, sf, seed) as (lake, clean, cd):
-        n_true = lake.columns["domain"].nunique()
-        for m in meanings:
-            for n_inj in injections:
-                if n_inj == 0:
-                    if base is None:
-                        base = discover_domains(clean)
-                    res = base
-                else:
-                    cells = inject_homographs(
-                        spark, clean, cd, n=n_inj, meanings=m,
-                        min_cardinality=0, seed=seed + n_inj + m,
-                    ).cells
-                    res = discover_domains(cells)
-                mx, avg = res.domains_per_column()
-                rows.append((m, n_inj, res.n_domains, mx, avg))
-                print(
-                    f"meanings={m} injected={n_inj}: domains={res.n_domains} "
-                    f"(true {n_true}) per-col max={mx} avg={avg:.3f}"
+    lake = tus_lake(spark, sf=sf, seed=seed)
+    clean, _ = remove_homographs(lake)
+    n_true = lake.columns["domain"].nunique()
+    for m in meanings:
+        for n_inj in injections:
+            if n_inj == 0:
+                if base is None:
+                    base = discover_domains(clean)
+                res = base
+            else:
+                inj = inject_homographs(
+                    clean, lake.columns, n=n_inj, meanings=m,
+                    min_cardinality=0, seed=seed + n_inj + m,
                 )
+                res = discover_domains(inj.incidences)
+            mx, avg = res.domains_per_column()
+            rows.append((m, n_inj, res.n_domains, mx, avg))
+            print(
+                f"meanings={m} injected={n_inj}: domains={res.n_domains} "
+                f"(true {n_true}) per-col max={mx} avg={avg:.3f}"
+            )
     out = pd.DataFrame(
         rows, columns=["meanings", "n_injected", "n_domains", "max_per_col", "avg_per_col"]
     )

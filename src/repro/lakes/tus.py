@@ -20,7 +20,8 @@ generates the same structure synthetically:
 
 Ground truth follows Definition 2: a value is a homograph iff it occurs
 in at least two columns that are **not** unionable (different source
-domains) — computed from the *realized* lake, not the planting plan.
+domains) — computed from the *realized* lake's collected incidences,
+not the planting plan.
 """
 from __future__ import annotations
 
@@ -29,10 +30,8 @@ from dataclasses import dataclass, field
 import numpy as np
 import pandas as pd
 from pyspark.sql import DataFrame, SparkSession
-from pyspark.sql import functions as F
 
 from repro.core.normalize import ATTR_COL, VALUE_COL
-from repro.core.graph import incidences
 from repro.lakes.datalake import lake_from_memberships
 
 NULL_MARKER = "."
@@ -47,12 +46,6 @@ class TUSLake:
     columns: pd.DataFrame = field(repr=False)
     #: tokens planted into ≥2 string domains (realized truth may differ).
     planted: list[str] = field(repr=False)
-
-    def column_domains(self, spark: SparkSession) -> DataFrame:
-        """``(attr, domain)`` unionability ground truth as a DataFrame."""
-        return spark.createDataFrame(
-            self.columns[["attr", "domain"]], schema="attr string, domain string"
-        )
 
 
 def tus_lake(
@@ -210,19 +203,19 @@ def tus_lake(
     return TUSLake(cells=cells, columns=columns, planted=sorted(planted))
 
 
-def definition2_truth(
-    spark: SparkSession, cells: DataFrame, column_domains: DataFrame
-) -> DataFrame:
+def definition2_truth(inc: pd.DataFrame, columns: pd.DataFrame) -> pd.DataFrame:
     """Definition 2 labeling: ``(label, is_homograph)`` for every distinct
-    value, computed from realized incidences.
+    value of the collected incidences ``inc``.
 
     A value is a homograph iff it appears in ≥2 columns belonging to
-    different unionability classes (source domains).
+    different unionability classes (source domains); ``columns`` maps
+    each attribute to its domain (:attr:`TUSLake.columns`).
     """
-    inc = incidences(cells)
-    return (
-        inc.join(column_domains, on=ATTR_COL)
-        .groupBy(F.col(VALUE_COL).alias("label"))
-        .agg(F.countDistinct("domain").alias("n_domains"))
-        .select("label", (F.col("n_domains") >= 2).alias("is_homograph"))
+    n_domains = (
+        inc.merge(columns[[ATTR_COL, "domain"]], on=ATTR_COL)
+        .groupby(VALUE_COL)["domain"]
+        .nunique()
+    )
+    return pd.DataFrame(
+        {"label": n_domains.index.to_numpy(), "is_homograph": (n_domains >= 2).to_numpy()}
     )

@@ -9,45 +9,47 @@ occurrence of each picked value with a fresh token
 ``INJECTEDHOMOGRAPH<k>`` — so the injected token has exactly ``m``
 meanings and its BC behaviour can be studied as a function of the
 cardinality threshold (Table 2) and of ``m`` (Table 3).
+
+Both steps work on the lake's distinct ``(attr, value)`` incidences,
+collected once (:func:`repro.core.graph.incidences`); everything after
+that collect runs on the driver.
 """
 from __future__ import annotations
 
+import re
 from dataclasses import dataclass
 
 import numpy as np
 import pandas as pd
-from pyspark.sql import DataFrame, SparkSession
-from pyspark.sql import functions as F
 
-from repro.core.normalize import ATTR_COL, VALUE_COL, norm_value
 from repro.core.graph import incidences
+from repro.core.normalize import ATTR_COL, VALUE_COL
 from repro.lakes.tus import TUSLake, definition2_truth
 
+#: Values that look numeric are never picked for replacement.
+_NUMERIC_RE = re.compile(r"[0-9.,\- ]+")
 
-def remove_homographs(
-    spark: SparkSession, lake: TUSLake
-) -> tuple[DataFrame, DataFrame]:
+
+def remove_homographs(lake: TUSLake) -> tuple[pd.DataFrame, pd.DataFrame]:
     """Drop every Definition-2 homograph from the lake.
 
-    Returns ``(clean_cells, truth)`` where ``truth`` is the labeling that
+    Collects the lake's incidences (its one Spark step) and returns
+    ``(clean_incidences, truth)`` where ``truth`` is the labeling that
     was applied. After this step the lake contains only single-meaning
     values (the paper's TUS-I starting point).
     """
-    truth = definition2_truth(spark, lake.cells, lake.column_domains(spark))
-    homs = truth.where("is_homograph").select(F.col("label").alias(VALUE_COL))
-    cleaned = (
-        lake.cells.withColumn(VALUE_COL, norm_value(F.col("value")))
-        .join(homs, on=VALUE_COL, how="left_anti")
-        .select("table_id", "col_id", F.col(VALUE_COL).alias("value"))
-    )
-    return cleaned, truth
+    inc = incidences(lake.cells)
+    truth = definition2_truth(inc, lake.columns)
+    homs = truth.loc[truth["is_homograph"], "label"]
+    return inc[~inc[VALUE_COL].isin(homs)].reset_index(drop=True), truth
 
 
 @dataclass(frozen=True)
 class Injection:
     """Result of :func:`inject_homographs`."""
 
-    cells: DataFrame
+    #: distinct ``(attr, value)`` incidences of the modified lake.
+    incidences: pd.DataFrame
     #: the injected tokens, e.g. ``INJECTEDHOMOGRAPH0`` … — the ground
     #: truth homograph set of the modified lake.
     injected: list[str]
@@ -56,16 +58,17 @@ class Injection:
 
 
 def inject_homographs(
-    spark: SparkSession,
-    cells: DataFrame,
-    column_domains: DataFrame,
+    inc: pd.DataFrame,
+    columns: pd.DataFrame,
     *,
     n: int = 50,
     meanings: int = 2,
     min_cardinality: int = 0,
     seed: int = 0,
 ) -> Injection:
-    """Inject ``n`` homographs with ``meanings`` meanings each.
+    """Inject ``n`` homographs with ``meanings`` meanings each into the
+    lake whose incidences are ``inc``; ``columns`` maps each attribute to
+    its domain (:attr:`TUSLake.columns`).
 
     For each injected token, ``meanings`` distinct domains are drawn; in
     each, a random string value (≥3 chars, not numeric-looking) is picked
@@ -74,21 +77,20 @@ def inject_homographs(
     token, lake-wide. Raises if the lake cannot supply enough distinct
     eligible (domain, value) picks.
     """
-    inc = incidences(cells)
-    card = inc.groupBy(ATTR_COL).agg(F.count("*").alias("cardinality"))
+    values = inc[VALUE_COL]
+    cardinality = inc.groupby(ATTR_COL)[VALUE_COL].transform("size")
+    is_string = np.array(
+        [len(v) >= 3 and _NUMERIC_RE.fullmatch(v) is None for v in values],
+        dtype=bool,
+    )
     eligible = (
-        inc.join(card, on=ATTR_COL)
-        .join(column_domains, on=ATTR_COL)
-        .where(F.col("cardinality") >= int(min_cardinality))
-        .where(F.length(VALUE_COL) >= 3)
-        .where(~F.col(VALUE_COL).rlike(r"^[0-9.,\- ]+$"))
-        .select("domain", VALUE_COL)
-        .distinct()
-        .toPandas()
+        inc[is_string & (cardinality >= int(min_cardinality)).to_numpy()]
+        .merge(columns[[ATTR_COL, "domain"]], on=ATTR_COL)[["domain", VALUE_COL]]
+        .drop_duplicates()
     )
     rng = np.random.default_rng(seed)
-    # Pools are sorted before the shuffle: the collected rows come in
-    # Spark's order, which changes with the shuffle partition count.
+    # Pools are sorted before the shuffle, so the picks do not depend on
+    # the row order of the collected incidences.
     pools = {
         d: list(rng.permutation(np.sort(g[VALUE_COL].unique())))
         for d, g in eligible.groupby("domain")
@@ -116,21 +118,11 @@ def inject_homographs(
             plan_rows.append((token, dom, value))
     plan = pd.DataFrame(plan_rows, columns=["token", "domain", "replaced_value"])
 
-    repl = spark.createDataFrame(
-        plan[["replaced_value", "token"]].rename(columns={"replaced_value": VALUE_COL}),
-        schema=f"{VALUE_COL} string, token string",
-    )
-    injected_cells = (
-        cells.withColumn(VALUE_COL, norm_value(F.col("value")))
-        .join(F.broadcast(repl), on=VALUE_COL, how="left")
-        .select(
-            "table_id",
-            "col_id",
-            F.coalesce(F.col("token"), F.col(VALUE_COL)).alias("value"),
-        )
-    )
+    replaced = values.map(dict(zip(plan["replaced_value"], plan["token"])))
     return Injection(
-        cells=injected_cells,
+        incidences=inc.assign(**{VALUE_COL: replaced.fillna(values)}).drop_duplicates(
+            ignore_index=True
+        ),
         injected=sorted(plan["token"].unique()),
         plan=plan,
     )

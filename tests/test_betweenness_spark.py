@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from repro.core.betweenness import betweenness_exact, betweenness_spark
-from repro.core.graph import build_graph
+from repro.core.graph import build_graph, incidences
 from repro.graph.csr import csr_from_arrays, csr_from_edges
 from repro.lakes.datalake import lake_from_tables
 from tests.fixtures import EXAMPLE31_TABLES
@@ -71,7 +71,7 @@ def test_sampled_ranking_correlates_with_exact(spark):
 def test_figure1_subgraph_bc_ordering(spark):
     """Paper Example 3.6: BC(Jaguar) ≫ BC(Puma) > BC(Toyota)=BC(Panda)."""
     g = build_graph(
-        lake_from_tables(spark, EXAMPLE31_TABLES), prune_unique=False
+        incidences(lake_from_tables(spark, EXAMPLE31_TABLES)), prune_unique=False
     )
     csr = csr_from_edges(g)
     bc = betweenness_exact(csr, normalized=True)

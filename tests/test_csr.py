@@ -2,7 +2,7 @@
 import numpy as np
 import pytest
 
-from repro.core.graph import build_graph
+from repro.core.graph import build_graph, incidences
 from repro.graph.csr import csr_from_arrays, csr_from_edges
 from repro.lakes.datalake import lake_from_tables
 from tests.fixtures import EXAMPLE31_TABLES
@@ -44,7 +44,9 @@ def test_symmetry_random():
 
 
 def test_csr_from_edges_matches_graph(spark):
-    g = build_graph(lake_from_tables(spark, EXAMPLE31_TABLES), prune_unique=False)
+    g = build_graph(
+        incidences(lake_from_tables(spark, EXAMPLE31_TABLES)), prune_unique=False
+    )
     csr = csr_from_edges(g)
     assert csr.n == 12
     assert csr.n_undirected_edges == 14

@@ -3,7 +3,7 @@ import pandas as pd
 import pytest
 
 from repro.baselines.d4 import D4Result, discover_domains
-from repro.core.graph import build_graph
+from repro.core.graph import build_graph, incidences
 from repro.lakes.datalake import lake_from_tables
 from repro.lakes.tus import tus_lake
 from tests.fixtures import shuffle_partitions, spark_jobs_run
@@ -24,14 +24,14 @@ def _two_domain_lake(spark):
 
 
 def test_clean_lake_two_domains(spark):
-    res = discover_domains(_two_domain_lake(spark))
+    res = discover_domains(incidences(_two_domain_lake(spark)))
     assert res.n_domains == 2
     sizes = sorted(len(v) for v in res.domains.values())
     assert sizes == [20, 20]
 
 
 def test_clean_lake_no_homographs(spark):
-    res = discover_domains(_two_domain_lake(spark))
+    res = discover_domains(incidences(_two_domain_lake(spark)))
     assert res.homographs() == []
 
 
@@ -46,7 +46,7 @@ def test_shared_value_in_both_domains_detected(spark):
             "T3": {"a": animals, "x": cars},
         },
     )
-    res = discover_domains(lake)
+    res = discover_domains(incidences(lake))
     assert res.n_domains == 2
     assert res.homographs() == ["JAGUAR"]
 
@@ -59,7 +59,7 @@ def test_numeric_columns_excluded(spark):
             "T2": {"a": [f"v{i}" for i in range(10)], "n": [str(i) for i in range(10)]},
         },
     )
-    res = discover_domains(lake)
+    res = discover_domains(incidences(lake))
     assert set(res.string_attrs) == {"T1.a", "T2.a"}
     assert res.n_domains == 1
 
@@ -73,7 +73,7 @@ def test_min_support_coverage_gap(spark):
             "T2": {"a": [f"v{i}" for i in range(10)]},
         },
     )
-    res = discover_domains(lake)
+    res = discover_domains(incidences(lake))
     assert res.n_domains == 1
     covered = set(res.column_domains.attr)
     assert "T1.solo" not in covered
@@ -88,7 +88,7 @@ def test_low_overlap_columns_not_merged(spark):
             "T2": {"a": [f"v{i}" for i in range(8, 40)]},
         },
     )
-    res = discover_domains(lake)
+    res = discover_domains(incidences(lake))
     assert res.n_domains == 0
 
 
@@ -105,13 +105,13 @@ def test_injected_singleton_becomes_own_domain(spark):
             "T3": {"a": animals, "x": cars},
         },
     )
-    res = discover_domains(lake)
+    res = discover_domains(incidences(lake))
     assert res.n_domains == 3
     assert frozenset(["HOMO"]) in set(res.domains.values())
 
 
 def test_domains_per_column_stats(spark):
-    res = discover_domains(_two_domain_lake(spark))
+    res = discover_domains(incidences(_two_domain_lake(spark)))
     mx, avg = res.domains_per_column()
     assert mx == 1
     assert avg == pytest.approx(1.0)
@@ -129,12 +129,16 @@ def test_empty_result_api():
 
 
 def test_no_more_spark_jobs_than_the_graph_build(spark):
-    lake = _two_domain_lake(spark)
+    # The incidences are D4-lite's only Spark step; the graph it reads
+    # them through and D4-lite itself run on the driver.
+    cells = _two_domain_lake(spark)
+    assert spark_jobs_run(spark, "d4-incidences", lambda: incidences(cells)) >= 1
+    lake = incidences(cells)
     build = spark_jobs_run(
         spark, "d4-graph", lambda: build_graph(lake, prune_unique=False)
     )
     d4 = spark_jobs_run(spark, "d4", lambda: discover_domains(lake))
-    assert 1 <= d4 <= build
+    assert d4 == build == 0
 
 
 def test_domains_independent_of_spark_row_order(spark):
@@ -142,7 +146,7 @@ def test_domains_independent_of_spark_row_order(spark):
     results = []
     for n in (64, 8):
         with shuffle_partitions(spark, n):
-            results.append(discover_domains(lake))
+            results.append(discover_domains(incidences(lake)))
     a, b = results
     assert a.domains == b.domains
     assert a.string_attrs == b.string_attrs

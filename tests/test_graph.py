@@ -18,7 +18,7 @@ def fig1(spark):
 @pytest.fixture(scope="module")
 def g31(spark):
     return build_graph(
-        lake_from_tables(spark, EXAMPLE31_TABLES), prune_unique=False
+        incidences(lake_from_tables(spark, EXAMPLE31_TABLES)), prune_unique=False
     )
 
 
@@ -68,7 +68,7 @@ def test_each_value_is_single_node(g31):
 
 
 def test_edges_oracle(spark, fig1):
-    graph = build_graph(fig1, prune_unique=False)
+    graph = build_graph(incidences(fig1), prune_unique=False)
     got = pd.DataFrame(
         {"attr": graph.labels[graph.attr_id], "value": graph.labels[graph.value_id]}
     )
@@ -85,7 +85,7 @@ def test_edges_oracle(spark, fig1):
 
 
 def test_value_degrees_oracle(spark, fig1):
-    graph = build_graph(fig1, prune_unique=False)
+    graph = build_graph(incidences(fig1), prune_unique=False)
     got = pd.DataFrame(
         {"value": graph.value_labels(), "degree": graph.value_degrees()}
     )
@@ -103,20 +103,20 @@ def test_value_degrees_oracle(spark, fig1):
 
 
 def test_prune_unique_keeps_only_multi_attribute_values(spark, fig1):
-    pruned = build_graph(fig1, prune_unique=True)
+    pruned = build_graph(incidences(fig1), prune_unique=True)
     labels = set(pruned.value_labels())
     # the full Figure-1 lake's multi-attribute values ("2" repeats only
     # within T2.num, so it is pruned):
     assert labels == {"JAGUAR", "PUMA", "PANDA", "TOYOTA"}
     assert pruned.n_attrs == 12  # attribute universe unchanged
     assert (pruned.value_degrees() >= 2).all()
-    full = build_graph(fig1, prune_unique=False)
+    full = build_graph(incidences(fig1), prune_unique=False)
     assert list(pruned.labels[pruned.n_values :]) == list(full.labels[full.n_values :])
 
 
 def test_pruned_graph_oracle_sb(spark):
     cells = sb_lake(spark, scale=0.1, seed=5).cells
-    graph = build_graph(cells)
+    graph = build_graph(incidences(cells))
     incidences_sql = """
         SELECT DISTINCT table_id || '.' || col_id AS attr,
                UPPER(TRIM(value)) AS value
@@ -145,7 +145,7 @@ def test_pruned_graph_oracle_sb(spark):
 
 
 def test_prune_false_keeps_all(spark, fig1):
-    full = build_graph(fig1, prune_unique=False)
+    full = build_graph(incidences(fig1), prune_unique=False)
     assert full.n_values == 37
 
 
@@ -163,8 +163,8 @@ def test_edges_distinct(g31):
 
 
 def test_build_graph_idempotent_counts(spark, fig1):
-    g1 = build_graph(fig1, prune_unique=False)
-    g2 = build_graph(fig1, prune_unique=False)
+    g1 = build_graph(incidences(fig1), prune_unique=False)
+    g2 = build_graph(incidences(fig1), prune_unique=False)
     assert (g1.n_values, g1.n_attrs, g1.n_edges) == (
         g2.n_values,
         g2.n_attrs,

@@ -5,7 +5,7 @@ import numpy as np
 import pandas as pd
 import pytest
 
-from repro.core.graph import build_graph
+from repro.core.graph import build_graph, incidences
 from repro.core.lcc import lcc_scores
 from repro.lakes.datalake import lake_from_tables
 from repro.lakes.sb import sb_lake
@@ -16,7 +16,7 @@ from tests.fixtures import EXAMPLE31_TABLES, EXAMPLE36_LCC
 @pytest.fixture(scope="module")
 def g31(spark):
     return build_graph(
-        lake_from_tables(spark, EXAMPLE31_TABLES), prune_unique=False
+        incidences(lake_from_tables(spark, EXAMPLE31_TABLES)), prune_unique=False
     )
 
 
@@ -50,7 +50,7 @@ def test_isolated_value_filled_with_one(spark):
     lake = lake_from_tables(
         spark, {"A": {"x": ["solo"]}, "B": {"y": ["a", "b"], "z": ["a", "b"]}}
     )
-    g = build_graph(lake, prune_unique=False)
+    g = build_graph(incidences(lake), prune_unique=False)
     got = dict(zip(g.value_labels(), lcc_scores(g)))
     assert got["SOLO"] == 1.0
     # a and b share both attributes: Jaccard 1 → LCC 1.
@@ -97,7 +97,7 @@ def test_lcc_oracle_sql(spark, g31):
 
 def test_lcc_oracle_sql_sb(spark):
     """Equation (1) in DuckDB over a whole SB graph, to 1e-12."""
-    g = build_graph(sb_lake(spark, scale=0.05, seed=3).cells)
+    g = build_graph(incidences(sb_lake(spark, scale=0.05, seed=3).cells))
     edges = pd.DataFrame({"value_id": g.value_id, "attr_id": g.attr_id})
     con = duckdb.connect()
     try:
@@ -127,7 +127,7 @@ def test_lcc_oracle_sql_sb(spark):
 def test_equal_lccs_are_bit_identical(spark):
     """Values whose Jaccard terms form the same multiset tie exactly, so
     the ranking breaks their tie by label, not by summation order."""
-    g = build_graph(sb_lake(spark, scale=0.3, seed=11).cells)
+    g = build_graph(incidences(sb_lake(spark, scale=0.3, seed=11).cells))
     lcc = lcc_scores(g)
     distinct_exact = len(np.unique(lcc))
     distinct_math = len(np.unique(np.round(lcc, 12)))

@@ -2,7 +2,7 @@
 import numpy as np
 import pytest
 
-from repro.core.graph import build_graph
+from repro.core.graph import build_graph, incidences
 from repro.graph.csr import csr_from_arrays
 from repro.lakes.datalake import lake_stats
 from repro.lakes.nyc import attribute_induced_subgraph, nyc_lake
@@ -26,7 +26,7 @@ def test_nyc_scales_with_sf(spark, small_nyc):
 
 @pytest.fixture(scope="module")
 def graph(spark, small_nyc):
-    return build_graph(small_nyc.cells, prune_unique=True)
+    return build_graph(incidences(small_nyc.cells), prune_unique=True)
 
 
 @pytest.mark.parametrize("target", [50, 200])

@@ -7,7 +7,7 @@ import pytest
 
 from repro.core import pipeline
 from repro.core.pipeline import rank_homographs, value_scores
-from repro.core.graph import build_graph
+from repro.core.graph import build_graph, incidences
 from repro.core.lcc import lcc_scores
 from repro.core.ranking import MEASURE_ASCENDING, attach_labels, rank_values
 from repro.eval.metrics import best_f1, hits_in_topk, metrics_at_k, topk_curve
@@ -17,7 +17,7 @@ from tests.fixtures import EXAMPLE31_TABLES, FIGURE1_TABLES, spark_jobs_run
 
 
 def test_figure1_bc_ranks_jaguar_first(spark):
-    lake = lake_from_tables(spark, EXAMPLE31_TABLES)
+    lake = incidences(lake_from_tables(spark, EXAMPLE31_TABLES))
     _, ranked = rank_homographs(spark, lake, prune_unique=False)
     ranked = ranked["bc"]
     assert list(ranked.label[:2]) == ["JAGUAR", "PUMA"]
@@ -25,20 +25,20 @@ def test_figure1_bc_ranks_jaguar_first(spark):
 
 
 def test_figure1_lcc_ranks_jaguar_first(spark):
-    lake = lake_from_tables(spark, EXAMPLE31_TABLES)
+    lake = incidences(lake_from_tables(spark, EXAMPLE31_TABLES))
     _, ranked = rank_homographs(spark, lake, measures=("lcc",), prune_unique=False)
     assert ranked["lcc"].label.iloc[0] == "JAGUAR"
 
 
 def test_unknown_measure_raises(spark):
-    lake = lake_from_tables(spark, EXAMPLE31_TABLES)
+    lake = incidences(lake_from_tables(spark, EXAMPLE31_TABLES))
     g = build_graph(lake, prune_unique=False)
     with pytest.raises(ValueError, match="unknown measure"):
         value_scores(spark, g, measure="pagerank")
 
 
 def test_prune_shrinks_candidates(spark):
-    lake = lake_from_tables(spark, EXAMPLE31_TABLES)
+    lake = incidences(lake_from_tables(spark, EXAMPLE31_TABLES))
     g_full, _ = rank_homographs(spark, lake, prune_unique=False)
     g_pruned, ranked = rank_homographs(spark, lake, prune_unique=True)
     assert g_pruned.n_values < g_full.n_values
@@ -75,7 +75,7 @@ DEGENERATE_LAKES = {
 @pytest.mark.parametrize("name", sorted(DEGENERATE_LAKES))
 def test_degenerate_lakes_rank(spark, name, measure):
     tables, prune, n_values, n_attrs, expected = DEGENERATE_LAKES[name]
-    lake = lake_from_tables(spark, tables)
+    lake = incidences(lake_from_tables(spark, tables))
     graph, ranked = rank_homographs(
         spark, lake, measures=(measure,), prune_unique=prune
     )
@@ -97,7 +97,7 @@ def test_degenerate_lakes_rank(spark, name, measure):
 
 def test_driver_layers_run_no_spark_jobs(spark):
     """LCC, ranking and the metrics run on the driver: zero Spark jobs."""
-    graph = build_graph(lake_from_tables(spark, FIGURE1_TABLES))
+    graph = build_graph(incidences(lake_from_tables(spark, FIGURE1_TABLES)))
     labeled = {"bc": value_scores(spark, graph, measure="bc")}
     homs = {"JAGUAR", "PUMA"}
 
@@ -117,7 +117,7 @@ def test_driver_layers_run_no_spark_jobs(spark):
 
 
 def test_measures_share_one_graph(spark, monkeypatch):
-    lake = lake_from_tables(spark, FIGURE1_TABLES)
+    lake = incidences(lake_from_tables(spark, FIGURE1_TABLES))
     single = {
         m: rank_homographs(spark, lake, measures=(m,))[1][m] for m in ("bc", "lcc")
     }
@@ -142,7 +142,7 @@ def sb_small(spark):
 
 @pytest.fixture(scope="module")
 def sb_bc_curve(spark, sb_small):
-    _, ranked = rank_homographs(spark, sb_small.cells)
+    _, ranked = rank_homographs(spark, incidences(sb_small.cells))
     return topk_curve(ranked["bc"], set(sb_small.homographs))
 
 
@@ -154,7 +154,9 @@ def test_sb_bc_finds_most_homographs(sb_bc_curve):
 
 
 def test_sb_bc_beats_lcc(spark, sb_small, sb_bc_curve):
-    _, lcc_ranked = rank_homographs(spark, sb_small.cells, measures=("lcc",))
+    _, lcc_ranked = rank_homographs(
+        spark, incidences(sb_small.cells), measures=("lcc",)
+    )
     lcc_curve = topk_curve(lcc_ranked["lcc"], set(sb_small.homographs))
     bc_m = metrics_at_k(sb_bc_curve, 55)
     lcc_m = metrics_at_k(lcc_curve, 55)
@@ -162,7 +164,9 @@ def test_sb_bc_beats_lcc(spark, sb_small, sb_bc_curve):
 
 
 def test_sampled_bc_close_to_exact_on_sb(spark, sb_small, sb_bc_curve):
-    _, sampled = rank_homographs(spark, sb_small.cells, n_samples=800, seed=1)
+    _, sampled = rank_homographs(
+        spark, incidences(sb_small.cells), n_samples=800, seed=1
+    )
     curve = topk_curve(sampled["bc"], set(sb_small.homographs))
     exact_p = metrics_at_k(sb_bc_curve, 55)["precision"]
     approx_p = metrics_at_k(curve, 55)["precision"]

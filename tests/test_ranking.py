@@ -3,7 +3,7 @@ import numpy as np
 import pandas as pd
 import pytest
 
-from repro.core.graph import build_graph
+from repro.core.graph import build_graph, incidences
 from repro.core.ranking import MEASURE_ASCENDING, attach_labels, rank_values
 from repro.lakes.datalake import lake_from_tables
 from tests.fixtures import EXAMPLE31_TABLES
@@ -12,7 +12,7 @@ from tests.fixtures import EXAMPLE31_TABLES
 @pytest.fixture(scope="module")
 def g31(spark):
     return build_graph(
-        lake_from_tables(spark, EXAMPLE31_TABLES), prune_unique=False
+        incidences(lake_from_tables(spark, EXAMPLE31_TABLES)), prune_unique=False
     )
 
 

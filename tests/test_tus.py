@@ -18,23 +18,24 @@ def lake(spark):
 
 
 @pytest.fixture(scope="module")
-def truth(spark, lake):
-    return definition2_truth(spark, lake.cells, lake.column_domains(spark)).cache()
+def inc(lake):
+    return incidences(lake.cells)
 
 
-def test_columns_metadata_covers_cells(spark, lake):
-    attrs_in_cells = {
-        r[ATTR_COL] for r in incidences(lake.cells).select(ATTR_COL).distinct().collect()
-    }
-    assert attrs_in_cells == set(lake.columns.attr)
+@pytest.fixture(scope="module")
+def truth(lake, inc):
+    return definition2_truth(inc, lake.columns)
+
+
+def test_columns_metadata_covers_cells(lake, inc):
+    assert set(inc[ATTR_COL]) == set(lake.columns.attr)
 
 
 def test_every_column_single_domain(lake):
     assert (lake.columns.groupby("attr")["domain"].nunique() == 1).all()
 
 
-def test_definition2_truth_oracle(spark, lake, truth):
-    inc = incidences(lake.cells)
+def test_definition2_truth_oracle(lake, inc, truth):
     assert_equivalent(
         truth,
         """
@@ -43,26 +44,25 @@ def test_definition2_truth_oracle(spark, lake, truth):
         FROM inc JOIN cols ON inc.attr = cols.attr
         GROUP BY value
         """,
-        inc=inc.toPandas(),
+        inc=inc,
         cols=lake.columns[["attr", "domain"]],
     )
 
 
-def test_planted_realize_as_homographs(spark, lake, truth):
+def test_planted_realize_as_homographs(lake, truth):
     planted = set(lake.planted)
     assert planted, "generator should plant homographs at this sf"
-    hom = {r.label for r in truth.where("is_homograph").collect()}
+    hom = set(truth.label[truth.is_homograph])
     assert planted <= hom
 
 
-def test_numeric_collisions_exist(spark, lake, truth):
-    hom = truth.where("is_homograph").toPandas().label
+def test_numeric_collisions_exist(truth):
+    hom = truth.label[truth.is_homograph]
     numeric_homs = hom[hom.str.fullmatch(r"[0-9]+")]
     assert len(numeric_homs) > 0
 
 
-def test_null_marker_is_many_meaning_homograph(spark, lake):
-    inc = incidences(lake.cells).toPandas()
+def test_null_marker_is_many_meaning_homograph(lake, inc):
     col_dom = dict(zip(lake.columns.attr, lake.columns.domain))
     doms = {col_dom[a] for a in inc.loc[inc[VALUE_COL] == NULL_MARKER, ATTR_COL]}
     assert len(doms) >= 2
@@ -89,8 +89,8 @@ def test_no_planted_without_request(spark):
 
 def test_clean_lake_homographs_only_numeric(spark):
     clean = tus_lake(spark, sf=0.03, seed=3, n_planted=0, null_marker=False)
-    t = definition2_truth(spark, clean.cells, clean.column_domains(spark))
-    homs = t.where("is_homograph").toPandas().label
+    t = definition2_truth(incidences(clean.cells), clean.columns)
+    homs = t.label[t.is_homograph]
     assert homs.str.fullmatch(r"[0-9]+").all()
 
 
@@ -103,10 +103,9 @@ def test_deterministic_in_seed(spark):
     )
 
 
-def test_meanings_distribution_heavy_tailed(spark, lake, truth):
-    inc = incidences(lake.cells).toPandas()
+def test_meanings_distribution_heavy_tailed(lake, inc):
     col_dom = dict(zip(lake.columns.attr, lake.columns.domain))
-    inc["domain"] = inc[ATTR_COL].map(col_dom)
+    inc = inc.assign(domain=inc[ATTR_COL].map(col_dom))
     meanings = inc.groupby(VALUE_COL)["domain"].nunique()
     planted = meanings[meanings.index.isin(set(lake.planted))]
     assert planted.min() >= 2
